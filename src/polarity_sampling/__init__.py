@@ -28,9 +28,9 @@ from .metrics import (
     nn_distances, path_length, precision_recall,
 )
 from .polarity import (
-    LatentDomain, OnlineSampler, PolaritySampler, RegionRecord, SamplePool,
-    build_pool, polarity_weights, region_log_volumes, sample_batch,
-    sample_online, truncation_sample,
+    LatentDomain, OnlineSampler, PolaritySampler, SamplePool, build_pool,
+    polarity_weights, region_log_volumes, sample_batch, sample_online,
+    truncation_sample,
 )
 from .spectral import (
     SpectrumTopK, log_volume, pseudo_log_det_sqrt, random_semi_orthogonal,

@@ -41,18 +41,25 @@ def build_parser():
     pool_sub = pool.add_subparsers(dest="pool_command", required=True)
     pool_build = pool_sub.add_parser("build", help="score N prior draws")
     _add_common(pool_build)
+    pool_build.set_defaults(func=_cmd_pool_build)
 
-    for name, descr in [
-        ("sample", "draw latents from a pool under a polarity"),
-        ("pareto", "precision/recall/Frechet sweep over (rho, psi)"),
-        ("ablate", "metrics across the (N, k) grid"),
-        ("modes", "report highest-weight latents"),
-        ("shift", "Frechet distance to biased/uniform references across rho"),
-        ("ppl", "path-length sweep over rho"),
-        ("metrics", "metric report for two sample files"),
+    # sweeps look their runner up at call time, so a patched harness is seen
+    for name, descr, func in [
+        ("sample", "draw latents from a pool under a polarity", _cmd_sample),
+        ("pareto", "precision/recall/Frechet sweep over (rho, psi)",
+         lambda args: _cmd_sweep(args, harness.run_pareto)),
+        ("ablate", "metrics across the (N, k) grid",
+         lambda args: _cmd_sweep(args, harness.run_ablation)),
+        ("modes", "report highest-weight latents", _cmd_modes),
+        ("shift", "Frechet distance to biased/uniform references across rho",
+         lambda args: _cmd_sweep(args, harness.run_shift)),
+        ("ppl", "path-length sweep over rho",
+         lambda args: _cmd_sweep(args, harness.run_ppl)),
+        ("metrics", "metric report for two sample files", _cmd_metrics),
     ]:
         p = sub.add_parser(name, help=descr)
         _add_common(p)
+        p.set_defaults(func=func)
         if name == "sample":
             p.add_argument("--rho", type=float, required=True)
             p.add_argument("--s", type=int, required=True)
@@ -68,6 +75,7 @@ def build_parser():
     dens_sub = dens.add_subparsers(dest="density_command", required=True)
     dens_eval = dens_sub.add_parser("eval", help="analytic density at query points")
     _add_common(dens_eval)
+    dens_eval.set_defaults(func=_cmd_density_eval)
     dens_eval.add_argument("--rho", type=float, required=True)
     dens_eval.add_argument("--points", required=True, help="CSV of query points")
 
@@ -192,24 +200,7 @@ def _cmd_metrics(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "pool":
-            _cmd_pool_build(args)
-        elif args.command == "sample":
-            _cmd_sample(args)
-        elif args.command == "density":
-            _cmd_density_eval(args)
-        elif args.command == "pareto":
-            _cmd_sweep(args, harness.run_pareto)
-        elif args.command == "ablate":
-            _cmd_sweep(args, harness.run_ablation)
-        elif args.command == "modes":
-            _cmd_modes(args)
-        elif args.command == "shift":
-            _cmd_sweep(args, harness.run_shift)
-        elif args.command == "ppl":
-            _cmd_sweep(args, harness.run_ppl)
-        elif args.command == "metrics":
-            _cmd_metrics(args)
+        args.func(args)
     except (ConfigError, ModelFormatError, ValidationError, InputError,
             ScaleError, StateError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

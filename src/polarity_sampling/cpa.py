@@ -172,8 +172,12 @@ def region_codes(net, z):
         if layer.nonlinear:
             bits.append(pre > 0.0)
         h = _apply_activation(layer, pre)
+    return _join_bits(bits, h.shape[0])
+
+
+def _join_bits(bits, n):
     if not bits:
-        return np.zeros((h.shape[0], 0), dtype=bool)
+        return np.zeros((n, 0), dtype=bool)
     return np.concatenate(bits, axis=1)
 
 
@@ -187,9 +191,10 @@ def region_code(net, z):
 def affine_maps(net, z):
     """Exact per-region affine maps at a batch of latents.
 
-    Returns (A, b) with shapes (n, D, K) and (n, D).  The activation mask is
-    fixed by the code at each point, so the returned map reproduces
-    ``forward`` exactly everywhere inside that point's region.
+    Returns (A, b, bits) with shapes (n, D, K), (n, D) and (n, num_units);
+    ``bits`` equals ``region_codes(net, z)``.  The activation mask is fixed
+    by the code at each point, so the returned map reproduces ``forward``
+    exactly everywhere inside that point's region.
     """
     h, _ = _check_input(net, z)
     z0 = h.copy()
@@ -197,23 +202,25 @@ def affine_maps(net, z):
     A = np.broadcast_to(
         np.eye(net.input_dim), (n, net.input_dim, net.input_dim)
     ).copy()
+    bits = []
     for layer in net.layers:
         pre = h @ layer.weight.T + layer.bias
         A = layer.weight[None, :, :] @ A
         if layer.nonlinear:
             on = pre > 0.0
+            bits.append(on)
             scale = np.where(on, 1.0, 0.0 if layer.activation == "relu" else layer.alpha)
             A *= scale[:, :, None]
         h = _apply_activation(layer, pre)
     b = h - np.einsum("ndk,nk->nd", A, z0)
-    return A, b
+    return A, b, _join_bits(bits, n)
 
 
 def affine_map(net, z):
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise InputError("affine_map takes a single latent vector")
-    A, b = affine_maps(net, z)
+    A, b, _ = affine_maps(net, z)
     return AffineMap(A[0], b[0])
 
 

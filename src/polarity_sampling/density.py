@@ -10,7 +10,6 @@ validated against.
 """
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,35 +39,10 @@ class RegionAtlas:
     regions: tuple
     complete: bool
     resolution: int
-    eps: float = DEFAULT_EPS
 
     def log_pseudo_dets(self):
         """Per-region log of det(A^T A)^(1/2) (product of nonzero sigmas)."""
         return np.array([pseudo_log_det_sqrt(r.sigma) for r in self.regions])
-
-    def save(self, path):
-        doc = {
-            "net_fingerprint": cpa.fingerprint(self.net),
-            "domain": self.domain.to_dict(),
-            "complete": self.complete,
-            "resolution": self.resolution,
-            "eps": self.eps,
-            "regions": [
-                {
-                    "code_hash": r.code_hash,
-                    "rep_z": [float(v) for v in r.rep_z],
-                    "slope": [[float(v) for v in row] for row in r.affine.slope],
-                    "offset": [float(v) for v in r.affine.offset],
-                    "sigma": [float(v) for v in r.sigma],
-                    "log_volume": float(r.log_volume),
-                    "prior_mass": float(r.prior_mass),
-                }
-                for r in self.regions
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
 
 
 def _grid_points(domain, resolution):

@@ -134,10 +134,15 @@ def write_csv(path, header, rows):
             )
 
 
+def _load(config):
+    """The (net, feature_net, domain) triple every sweep starts from."""
+    return config.load_net(), config.load_feature_net(), config.load_domain()
+
+
 def _pool_for(config, net, feature_net, domain, seed):
     return build_pool(
         net, domain, config.n, config.k, seed, space=config.space,
-        feature_net=feature_net, eps=config.eps, keep_spectra=False,
+        feature_net=feature_net, eps=config.eps,
     )
 
 
@@ -148,9 +153,7 @@ def _generate(config, net, pool, rho, seed):
 
 def run_pareto(config):
     """(rho, psi) sweep of precision/recall/Fréchet against the reference set."""
-    net = config.load_net()
-    feature_net = config.load_feature_net()
-    base_domain = config.load_domain()
+    net, feature_net, base_domain = _load(config)
     reference = SampleSet(config.load_reference(), "reference")
     rows = []
     for i_psi, psi in enumerate(config.psi_grid):
@@ -171,9 +174,7 @@ def run_ablation(config):
     """Metrics across the (N, k) pool-construction grid, at the first rho."""
     if not config.n_grid or not config.k_grid:
         raise ConfigError("ablation needs nonempty n_grid and k_grid")
-    net = config.load_net()
-    feature_net = config.load_feature_net()
-    domain = config.load_domain()
+    net, feature_net, domain = _load(config)
     reference = SampleSet(config.load_reference(), "reference")
     rho = config.rho_grid[0]
     rows = []
@@ -183,7 +184,6 @@ def run_ablation(config):
                 net, domain, int(n), int(k),
                 child_seed(config.seed, "ablate_pool", i_n, i_k),
                 space=config.space, feature_net=feature_net, eps=config.eps,
-                keep_spectra=False,
             )
             fake = SampleSet(
                 _generate(config, net, pool, rho,
@@ -199,9 +199,7 @@ def run_ablation(config):
 
 def run_modes(config, rho_extreme=None):
     """Report the highest-weight pool latents, their outputs, and NN distances."""
-    net = config.load_net()
-    feature_net = config.load_feature_net()
-    domain = config.load_domain()
+    net, feature_net, domain = _load(config)
     rho = config.rho_grid[0] if rho_extreme is None else rho_extreme
     pool = _pool_for(config, net, feature_net, domain,
                      child_seed(config.seed, "pool", 0))
@@ -229,9 +227,7 @@ def run_modes(config, rho_extreme=None):
 
 def run_shift(config):
     """Fréchet distance to a biased and an unbiased reference across rho."""
-    net = config.load_net()
-    feature_net = config.load_feature_net()
-    domain = config.load_domain()
+    net, feature_net, domain = _load(config)
     biased = SampleSet(config.load_reference("reference_biased"), "biased")
     uniform = SampleSet(config.load_reference("reference_uniform"), "uniform")
     if biased.dim != uniform.dim:
@@ -249,9 +245,7 @@ def run_shift(config):
 
 def run_ppl(config):
     """Path-length distribution per rho, endpoints drawn by the polarity sampler."""
-    net = config.load_net()
-    feature_net = config.load_feature_net()
-    domain = config.load_domain()
+    net, feature_net, domain = _load(config)
     pool = _pool_for(config, net, feature_net, domain,
                      child_seed(config.seed, "pool", 0))
     rows = []

@@ -7,10 +7,11 @@ rho < 0 concentrates on the output-density modes (small Jacobian volume),
 rho > 0 on the anti-modes, rho = 0 reproduces the prior.
 """
 
-import hashlib
+import base64
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -19,7 +20,12 @@ from . import cpa
 from .errors import ConfigError, InputError, SamplingTimeout, StateError, ValidationError
 from .spectral import DEFAULT_EPS, batch_top_k_singular_values
 
-POOL_FORMAT_VERSION = 1
+POOL_FORMAT_VERSION = 2
+# pool file fields: header JSON types, then base64 columns with their dtypes
+_POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
+                "eps": float, "space": str, "seed": int, "code_bytes": int,
+                "z": str, "log_volumes": str, "codes": str}
+_POOL_COLUMNS = {"z": "<f8", "log_volumes": "<f8", "codes": "u1"}
 _STALL_LIMIT = 10_000_000
 
 
@@ -135,77 +141,68 @@ def truncation_sample(domain, psi, s, seed):
 
 
 @dataclass(frozen=True)
-class RegionRecord:
-    z: np.ndarray
-    code_hash: str
-    log_volume: float
-    top_sigma: np.ndarray = None  # optional diagnostics
-
-    def __post_init__(self):
-        if not np.isfinite(self.log_volume):
-            raise ValidationError("record log_volume must be finite")
-
-
-@dataclass(frozen=True)
 class SamplePool:
-    """N candidate latents with precomputed region log-volumes."""
+    """N candidate latents with precomputed region log-volumes, as columns.
 
-    records: tuple
+    ``codes`` holds each latent's activation code packed with
+    ``np.packbits(bits, axis=1)``: one row of ceil(num_units / 8) bytes.
+    """
+
+    z: np.ndarray              # (n, K) float64
+    log_volumes: np.ndarray    # (n,) float64
+    codes: np.ndarray          # (n, code bytes) uint8
     k: int
     eps: float
     space: str            # "output" or "composed:<feature net name>"
     seed: int
     domain: LatentDomain
     net_fingerprint: str
-    version: int = POOL_FORMAT_VERSION
-    _log_volumes: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        z = np.asarray(self.z, dtype=np.float64)
+        lvs = np.asarray(self.log_volumes, dtype=np.float64)
+        codes = np.asarray(self.codes, dtype=np.uint8)
+        n = lvs.shape[0] if lvs.ndim == 1 else -1
+        if z.shape != (n, self.domain.dim) or codes.ndim != 2 or codes.shape[0] != n:
+            raise ValidationError(
+                f"pool columns disagree: z {z.shape}, log_volumes {lvs.shape}, "
+                f"codes {codes.shape}, latent dim {self.domain.dim}"
+            )
+        if not np.all(np.isfinite(lvs)):
+            raise ValidationError("pool log-volumes must be finite")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "log_volumes", lvs)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def n(self):
-        return len(self.records)
-
-    @property
-    def log_volumes(self):
-        if self._log_volumes is None:
-            object.__setattr__(
-                self,
-                "_log_volumes",
-                np.array([r.log_volume for r in self.records]),
-            )
-        return self._log_volumes
+        return self.log_volumes.shape[0]
 
     @property
     def latents(self):
-        return np.stack([r.z for r in self.records])
+        return self.z
 
     def distinct_code_count(self):
         """How many distinct regions the pool has discovered (coverage diagnostic)."""
-        return len({r.code_hash for r in self.records})
+        return len(np.unique(self.codes, axis=0))
 
     def save(self, path):
+        """One JSON document: header fields, then each column as base64 of
+        its little-endian bytes.  Identical pools give identical bytes."""
         doc = {
-            "version": self.version,
+            "version": POOL_FORMAT_VERSION,
             "net_fingerprint": self.net_fingerprint,
             "domain": self.domain.to_dict(),
             "n": self.n,
-            "k": self.k,
-            "eps": self.eps,
+            "k": int(self.k),
+            "eps": float(self.eps),
             "space": self.space,
-            "seed": self.seed,
-            "records": [
-                {
-                    "z": [float(v) for v in r.z],
-                    "code_hash": r.code_hash,
-                    "log_volume": float(r.log_volume),
-                    **(
-                        {"top_sigma": [float(v) for v in r.top_sigma]}
-                        if r.top_sigma is not None
-                        else {}
-                    ),
-                }
-                for r in self.records
-            ],
+            "seed": int(self.seed),
+            "code_bytes": self.codes.shape[1],
         }
+        for name, dtype in _POOL_COLUMNS.items():
+            raw = np.ascontiguousarray(getattr(self, name), dtype=dtype).tobytes()
+            doc[name] = base64.b64encode(raw).decode("ascii")
         with open(path, "w") as fh:
             json.dump(doc, fh)
             fh.write("\n")
@@ -221,32 +218,51 @@ class SamplePool:
                 raise ValidationError(
                     f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
                 ) from exc
-        if doc.get("version") != POOL_FORMAT_VERSION:
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != POOL_FORMAT_VERSION:
             raise ValidationError(
-                f"{path}: unsupported pool format version {doc.get('version')!r}"
+                f"{path}: unsupported pool format version {version!r}; "
+                f"rebuild it with `polsamp pool build`"
             )
-        records = tuple(
-            RegionRecord(
-                z=np.array(r["z"], dtype=np.float64),
-                code_hash=r["code_hash"],
-                log_volume=float(r["log_volume"]),
-                top_sigma=(
-                    np.array(r["top_sigma"]) if "top_sigma" in r else None
-                ),
+        for key, kind in _POOL_HEADER.items():
+            if key not in doc:
+                raise ValidationError(f"{path}: pool file has no field {key!r}")
+            if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+                raise ValidationError(
+                    f"{path}: pool field {key!r} has type {type(doc[key]).__name__}"
+                )
+        try:
+            domain = LatentDomain.from_dict(doc["domain"])
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise ValidationError(f"{path}: bad pool domain: {exc}") from exc
+        n = doc["n"]
+        shapes = {"z": (n, domain.dim), "log_volumes": (n,),
+                  "codes": (n, doc["code_bytes"])}
+        columns = {}
+        for name, dtype in _POOL_COLUMNS.items():
+            try:
+                raw = base64.b64decode(doc[name], validate=True)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: column {name!r}: {exc}") from exc
+            shape = shapes[name]
+            if min(shape) < 0 or len(raw) != np.dtype(dtype).itemsize * math.prod(shape):
+                raise ValidationError(
+                    f"{path}: column {name!r} holds {len(raw)} bytes, "
+                    f"not the {shape} {np.dtype(dtype).name} array the header gives"
+                )
+            columns[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        try:
+            return SamplePool(
+                **columns,
+                k=doc["k"],
+                eps=doc["eps"],
+                space=doc["space"],
+                seed=doc["seed"],
+                domain=domain,
+                net_fingerprint=doc["net_fingerprint"],
             )
-            for r in doc["records"]
-        )
-        if len(records) != doc["n"]:
-            raise ValidationError(f"{path}: record count disagrees with header")
-        return SamplePool(
-            records=records,
-            k=int(doc["k"]),
-            eps=float(doc["eps"]),
-            space=doc["space"],
-            seed=int(doc["seed"]),
-            domain=LatentDomain.from_dict(doc["domain"]),
-            net_fingerprint=doc["net_fingerprint"],
-        )
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
     def check_fingerprint(self, net):
         fp = cpa.fingerprint(net)
@@ -270,14 +286,15 @@ def _effective_net(net, space, feature_net):
 
 
 def region_log_volumes(net, zs, k, eps=DEFAULT_EPS):
-    """Batched per-latent scores: top-k spectra and their log-volumes."""
-    A, _ = cpa.affine_maps(net, zs)
+    """Batched per-latent log-volumes of the top-k spectra, plus the (n,
+    num_units) activation bits, from one pass over the layers."""
+    A, _, bits = cpa.affine_maps(net, zs)
     sigmas = batch_top_k_singular_values(A, k)
-    return np.sum(np.log(sigmas + eps), axis=1), sigmas
+    return np.sum(np.log(sigmas + eps), axis=1), bits
 
 
 def build_pool(net, domain, n, k, seed, space="output", feature_net=None,
-               eps=DEFAULT_EPS, keep_spectra=True, chunk=8192):
+               eps=DEFAULT_EPS, chunk=8192):
     """Draw n latents i.i.d. from the domain and score each one's region.
 
     Deterministic given the seed; pool construction and later sampling use
@@ -290,27 +307,29 @@ def build_pool(net, domain, n, k, seed, space="output", feature_net=None,
         raise InputError(
             f"domain dim {domain.dim} does not match network input {eff.input_dim}"
         )
-    if not (1 <= k <= min(eff.output_dim, eff.input_dim)):
+    # every slope factors through each layer, so its rank is at most the
+    # narrowest width; singular values past it are exact zeros
+    widths = [eff.input_dim] + [layer.out_dim for layer in eff.layers]
+    narrowest = int(np.argmin(widths))
+    if not (1 <= k <= widths[narrowest]):
+        where = ("the latent input" if narrowest == 0
+                 else f"layer {narrowest - 1} of {eff.name!r}")
         raise InputError(
-            f"k={k} outside [1, {min(eff.output_dim, eff.input_dim)}] for this space"
+            f"k={k} outside [1, {widths[narrowest]}]: slopes in this space have "
+            f"rank at most {widths[narrowest]}, the width of {where}"
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    records = []
+    zs, lvs, codes = [], [], []
     for start in range(0, n, chunk):
-        zs = domain.sample(min(chunk, n - start), rng)
-        lvs, sigmas = region_log_volumes(eff, zs, k, eps)
-        codes = cpa.region_codes(eff, zs)
-        for i in range(zs.shape[0]):
-            records.append(
-                RegionRecord(
-                    z=zs[i],
-                    code_hash=cpa.ActivationCode(codes[i]).digest,
-                    log_volume=float(lvs[i]),
-                    top_sigma=sigmas[i].copy() if keep_spectra else None,
-                )
-            )
+        z = domain.sample(min(chunk, n - start), rng)
+        lv, bits = region_log_volumes(eff, z, k, eps)
+        zs.append(z)
+        lvs.append(lv)
+        codes.append(np.packbits(bits, axis=1))
     return SamplePool(
-        records=tuple(records),
+        z=np.concatenate(zs),
+        log_volumes=np.concatenate(lvs),
+        codes=np.concatenate(codes),
         k=k,
         eps=eps,
         space=space,

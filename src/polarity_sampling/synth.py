@@ -14,8 +14,6 @@ class SyntheticDataset:
     kinds:
       gaussian_mixture: params {weights, means, covs} (covs are per-component
           full matrices, or scalars for isotropic)
-      uniform_ring:     params {center, r_inner, r_outer}
-      grid_clusters:    params {shape, spacing, std}
     """
 
     kind: str
@@ -26,22 +24,14 @@ class SyntheticDataset:
     def __post_init__(self):
         if self.size < 1:
             raise InputError("dataset size must be at least 1")
-        if self.kind == "gaussian_mixture":
-            w = np.asarray(self.params["weights"], dtype=np.float64)
-            if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
-                raise InputError("mixture weights must be nonnegative and sum to 1")
-        elif self.kind not in ("uniform_ring", "grid_clusters"):
+        if self.kind != "gaussian_mixture":
             raise ConfigError(f"unknown synthetic dataset kind {self.kind!r}")
+        w = np.asarray(self.params["weights"], dtype=np.float64)
+        if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
+            raise InputError("mixture weights must be nonnegative and sum to 1")
 
     def sample(self):
         rng = np.random.default_rng(self.seed)
-        if self.kind == "gaussian_mixture":
-            return self._gaussian_mixture(rng)
-        if self.kind == "uniform_ring":
-            return self._uniform_ring(rng)
-        return self._grid_clusters(rng)
-
-    def _gaussian_mixture(self, rng):
         weights = np.asarray(self.params["weights"], dtype=np.float64)
         means = np.atleast_2d(np.asarray(self.params["means"], dtype=np.float64))
         covs = self.params["covs"]
@@ -61,28 +51,6 @@ class SyntheticDataset:
             )
             out[idx] = rng.multivariate_normal(means[c], cov, size=n_c)
         return out
-
-    def _uniform_ring(self, rng):
-        center = np.asarray(self.params["center"], dtype=np.float64)
-        r_in, r_out = self.params["r_inner"], self.params["r_outer"]
-        if not (0 <= r_in < r_out):
-            raise InputError("need 0 <= r_inner < r_outer")
-        theta = rng.uniform(0, 2 * np.pi, self.size)
-        # area-uniform radius
-        r = np.sqrt(rng.uniform(r_in**2, r_out**2, self.size))
-        return center + np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
-
-    def _grid_clusters(self, rng):
-        shape = tuple(self.params["shape"])
-        spacing = float(self.params["spacing"])
-        std = float(self.params["std"])
-        centers = np.stack(
-            [m.reshape(-1) for m in np.meshgrid(*[np.arange(s) for s in shape],
-                                                indexing="ij")],
-            axis=1,
-        ) * spacing
-        comp = rng.integers(0, centers.shape[0], size=self.size)
-        return centers[comp] + std * rng.standard_normal((self.size, centers.shape[1]))
 
     def to_dict(self):
         params = {

@@ -5,8 +5,8 @@ import pytest
 
 from polarity_sampling import (
     CpaNetwork, InputError, Layer, ModelFormatError, ValidationError,
-    affine_map, compose, fingerprint, forward, identity_net, load_model,
-    region_code, region_codes, save_model,
+    affine_map, affine_maps, compose, fingerprint, forward, identity_net,
+    load_model, region_code, region_codes, save_model,
 )
 from polarity_sampling import zoo
 
@@ -127,6 +127,15 @@ def test_affine_map_matches_finite_differences(seed):
         J = finite_diff_jacobian(net, z)
         A = affine_map(net, z).slope
         assert np.linalg.norm(A - J) <= 1e-6 * max(np.linalg.norm(J), 1.0)
+
+
+@pytest.mark.parametrize("seed", [None, 13, 100, 101])
+def test_affine_maps_bits_equal_region_codes(seed):
+    net = identity_net(3) if seed is None else zoo.random_net(seed)
+    zs = np.random.default_rng(0).uniform(-2, 2, size=(300, net.input_dim))
+    _, _, bits = affine_maps(net, zs)
+    assert bits.dtype == bool and bits.shape == (300, net.num_units)
+    np.testing.assert_array_equal(bits, region_codes(net, zs))
 
 
 def test_compose_with_identity_is_noop():

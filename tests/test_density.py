@@ -207,15 +207,3 @@ def test_histogram_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin_lo_0,bin_hi_0,mass"
     assert len(lines) == 5
-
-
-def test_atlas_export(tmp_path):
-    atlas = enumerate_regions(zoo.two_piece_net(), zoo.two_piece_domain(), 32)
-    path = tmp_path / "atlas.json"
-    atlas.save(path)
-    import json
-
-    doc = json.loads(path.read_text())
-    assert doc["complete"] is True
-    assert len(doc["regions"]) == 2
-    assert sum(r["prior_mass"] for r in doc["regions"]) == pytest.approx(1.0)

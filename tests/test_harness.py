@@ -170,7 +170,7 @@ def run_pool_for(config, net):
     from polarity_sampling.harness import child_seed
 
     return build_pool(net, config.load_domain(), config.n, config.k,
-                      child_seed(config.seed, "pool", 0), keep_spectra=False)
+                      child_seed(config.seed, "pool", 0))
 
 
 def test_modes_nn_distance_smaller_than_baseline(bimodal_config):

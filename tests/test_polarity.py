@@ -3,21 +3,19 @@ import pytest
 from scipy import stats
 
 from polarity_sampling import (
-    ConfigError, InputError, LatentDomain, OnlineSampler, PolaritySampler,
-    RegionRecord, SamplePool, build_pool, forward, polarity_weights,
-    sample_batch, sample_online, truncation_sample,
+    ActivationCode, ConfigError, InputError, LatentDomain, OnlineSampler,
+    PolaritySampler, SamplePool, build_pool, forward, polarity_weights,
+    region_codes, sample_batch, sample_online, truncation_sample,
 )
 from polarity_sampling import zoo
 
 
 def pool_from_log_volumes(lvs):
-    records = tuple(
-        RegionRecord(z=np.array([float(i)]), code_hash=f"r{i}", log_volume=lv)
-        for i, lv in enumerate(lvs)
-    )
+    n = len(lvs)
     return SamplePool(
-        records=records, k=1, eps=1e-12, space="output", seed=0,
-        domain=LatentDomain("uniform_box", lo=[-1.0], hi=[1.0]),
+        z=np.arange(n, dtype=np.float64)[:, None], log_volumes=lvs,
+        codes=np.zeros((n, 1), dtype=np.uint8), k=1, eps=1e-12, space="output",
+        seed=0, domain=LatentDomain("uniform_box", lo=[-1.0], hi=[1.0]),
         net_fingerprint="test",
     )
 
@@ -43,6 +41,15 @@ def test_two_piece_pool_log_volumes():
 def test_pool_k_out_of_range():
     with pytest.raises(InputError):
         build_pool(zoo.two_piece_net(), zoo.two_piece_domain(), 10, 2, seed=0)
+
+
+def test_pool_k_above_structural_rank():
+    # widths 3/8/23/19 on an 8-D latent: every slope has rank <= 3
+    net = zoo.random_net(3, input_dim=8)
+    domain = LatentDomain("gaussian", mean=np.zeros(8), std=np.ones(8))
+    with pytest.raises(InputError, match="width of layer 0"):
+        build_pool(net, domain, 10, 4, seed=0)
+    assert build_pool(net, domain, 10, 3, seed=0).n == 10
 
 
 def test_pool_unknown_space():
@@ -194,6 +201,10 @@ def test_pool_round_trip_and_fingerprint(tmp_path):
     loaded = SamplePool.load(path)
     assert np.array_equal(loaded.latents, pool.latents)
     assert np.array_equal(loaded.log_volumes, pool.log_volumes)
+    assert np.array_equal(loaded.codes, pool.codes)
+    again = tmp_path / "again.json"
+    build_pool(net, zoo.two_piece_domain(), 200, 1, seed=11).save(again)
+    assert again.read_bytes() == path.read_bytes()
     loaded.check_fingerprint(net)
     with pytest.raises(ConfigError):
         loaded.check_fingerprint(zoo.abs_net())
@@ -202,6 +213,17 @@ def test_pool_round_trip_and_fingerprint(tmp_path):
 def test_distinct_code_count_diagnostic():
     pool = build_pool(zoo.two_piece_net(), zoo.two_piece_domain(), 500, 1, seed=12)
     assert pool.distinct_code_count() == 2
+
+
+def test_distinct_code_count_matches_digest_reference():
+    # reference: one sha1 digest per latent's unpacked activation code
+    net = zoo.random_net(13, input_dim=3)
+    domain = LatentDomain("uniform_box", lo=-np.ones(3), hi=np.ones(3))
+    pool = build_pool(net, domain, 20000, 3, seed=5)
+    digests = {ActivationCode(c).digest for c in region_codes(net, pool.latents)}
+    assert pool.distinct_code_count() == len(digests) > 1000
+    bits = np.unpackbits(pool.codes, axis=1, count=net.num_units).astype(bool)
+    np.testing.assert_array_equal(bits, region_codes(net, pool.latents))
 
 
 def test_gaussian_domain_pool():

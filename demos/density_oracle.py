@@ -37,9 +37,7 @@ centers = (edges[:-1] + edges[1:]) / 2
 for rho in (-2.0, 0.0, 2.0):
     draws = sample_batch(PolaritySampler(pool, rho), 1_000_000, seed=1)
     hist = mc_density(net, draws, [edges])
-    expected = np.array(
-        [analytic_density(atlas, [c], rho) for c in centers]
-    ) * np.diff(edges)
+    expected = analytic_density(atlas, centers[:, None], rho) * np.diff(edges)
     print(f"  rho {rho:+.0f}: TV = {total_variation(hist.mass, expected):.4f}")
 
 print("\nnegative rho piles mass on the compressed (high-density) side;")

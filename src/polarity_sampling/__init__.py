@@ -9,9 +9,8 @@ verify the quality/diversity control.
 """
 
 from .cpa import (
-    ActivationCode, AffineMap, CpaNetwork, Layer, affine_map, affine_maps,
-    compose, fingerprint, forward, identity_net, load_model, region_code,
-    region_codes, save_model,
+    AffineMap, CpaNetwork, Layer, affine_map, affine_maps, compose, fingerprint,
+    forward, identity_net, load_model, region_codes, save_model,
 )
 from .density import (
     Histogram, RegionAtlas, analytic_density, enumerate_regions, mc_density,
@@ -33,8 +32,8 @@ from .polarity import (
     truncation_sample,
 )
 from .spectral import (
-    SpectrumTopK, log_volume, pseudo_log_det_sqrt, random_semi_orthogonal,
-    sketch_spectrum, top_k_singular_values,
+    log_volume, pseudo_log_det_sqrt, random_semi_orthogonal, sketch_spectrum,
+    top_k_singular_values,
 )
 from .synth import SyntheticDataset
 

@@ -101,12 +101,24 @@ def _require(value, flag):
     return value
 
 
-def _read_points(path):
+def _parses_as_float(field):
     try:
-        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+        float(field)
     except ValueError:
-        # tolerate a header row, as written by the sample subcommand
-        pts = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+        return False
+    return True
+
+
+def _read_points(path):
+    """Comma-separated float rows.  Row 1 is a header, as the sample
+    subcommand writes one, only when none of its fields parses as a float."""
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+        header = not any(_parses_as_float(f) for f in first.split(","))
+        pts = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=int(header))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if pts.size == 0:
         raise ConfigError(f"{path}: no points")
     return pts
@@ -151,10 +163,8 @@ def _cmd_density_eval(args):
         net, config.load_domain(), config.resolution, seed=config.seed
     )
     pts = _read_points(args.points)
-    rows = [
-        tuple(float(v) for v in x) + (density.analytic_density(atlas, x, args.rho),)
-        for x in pts
-    ]
+    dens = density.analytic_density(atlas, pts, args.rho)
+    rows = [tuple(float(v) for v in x) + (d,) for x, d in zip(pts, dens)]
     header = [f"x{d}" for d in range(pts.shape[1])] + ["density"]
     harness.write_csv(_require(args.out, "--out"), header, rows)
     print(f"density at {len(rows)} points (rho={args.rho}) -> {args.out}")

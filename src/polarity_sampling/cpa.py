@@ -56,41 +56,6 @@ class Layer:
 
 
 @dataclass(frozen=True)
-class ActivationCode:
-    """Per-unit sign pattern identifying one region of the input partition.
-
-    One bit per nonlinear unit, layer-major; bit 1 means the pre-activation
-    was strictly positive.  Two latent points lie in the same region iff
-    their codes are equal.
-    """
-
-    bits: np.ndarray  # bool array
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "bits", np.asarray(self.bits, dtype=bool).reshape(-1)
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, ActivationCode) and np.array_equal(
-            self.bits, other.bits
-        )
-
-    def __hash__(self):
-        return hash(self.bits.tobytes())
-
-    def __len__(self):
-        return self.bits.size
-
-    @property
-    def digest(self):
-        """Stable hex digest, usable as a region key in pools and atlases."""
-        h = hashlib.sha1(self.bits.tobytes())
-        h.update(str(self.bits.size).encode())
-        return h.hexdigest()
-
-
-@dataclass(frozen=True)
 class AffineMap:
     """Exact affine restriction ``G(z) = A z + b`` of the network on one region."""
 
@@ -181,13 +146,6 @@ def _join_bits(bits, n):
     return np.concatenate(bits, axis=1)
 
 
-def region_code(net, z):
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise InputError("region_code takes a single latent vector")
-    return ActivationCode(region_codes(net, z)[0])
-
-
 def affine_maps(net, z):
     """Exact per-region affine maps at a batch of latents.
 
@@ -257,6 +215,13 @@ def to_dict(net):
     return out
 
 
+def _numeric(value, what):
+    try:
+        return np.array(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not numeric ({exc})") from exc
+
+
 def from_dict(data):
     if not isinstance(data, dict):
         raise ValidationError("model document must be an object")
@@ -265,8 +230,11 @@ def from_dict(data):
             raise ValidationError(f"model document missing field {key!r}")
     if not isinstance(data["layers"], list):
         raise ValidationError("model field 'layers' must be a list")
+    prev_dim = data["input_dim"]
+    if isinstance(prev_dim, bool) or not isinstance(prev_dim, int):
+        raise ValidationError(f"model field 'input_dim' must be an integer, "
+                              f"got {prev_dim!r}")
     layers = []
-    prev_dim = int(data["input_dim"])
     for i, spec in enumerate(data["layers"]):
         if not isinstance(spec, dict):
             raise ValidationError(f"layer {i}: expected an object")
@@ -276,24 +244,24 @@ def from_dict(data):
                 f"layer {i}: unsupported activation {act!r} (only exact "
                 f"piecewise-affine activations are supported)"
             )
-        try:
-            weight = np.array(spec["weight"], dtype=np.float64)
-        except (ValueError, KeyError) as exc:
-            raise ValidationError(f"layer {i}: bad weight matrix ({exc})") from exc
+        if "weight" not in spec:
+            raise ValidationError(f"layer {i}: no weight matrix")
+        weight = _numeric(spec["weight"], f"layer {i}: weight")
         if weight.ndim != 2:
             raise ValidationError(
                 f"layer {i}: weight rows have inconsistent lengths"
             )
-        bias = np.array(spec.get("bias", np.zeros(weight.shape[0])), dtype=np.float64)
+        bias = _numeric(spec.get("bias", np.zeros(weight.shape[0])), f"layer {i}: bias")
+        alpha = spec.get("alpha", 0.0)
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+            raise ValidationError(f"layer {i}: alpha must be a number, got {alpha!r}")
         if weight.shape[1] != prev_dim:
             raise ValidationError(
                 f"layer {i}: weight expects input dim {weight.shape[1]}, "
                 f"chain provides {prev_dim}"
             )
         try:
-            layers.append(
-                Layer(weight, bias, act, float(spec.get("alpha", 0.0)))
-            )
+            layers.append(Layer(weight, bias, act, float(alpha)))
         except ValidationError as exc:
             raise ValidationError(f"layer {i}: {exc}") from exc
         prev_dim = weight.shape[0]

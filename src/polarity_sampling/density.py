@@ -16,16 +16,15 @@ import numpy as np
 
 from . import cpa
 from .errors import InputError, ScaleError, StateError
-from .spectral import DEFAULT_EPS, RANK_RTOL, pseudo_log_det_sqrt
+from .spectral import RANK_RTOL, pseudo_log_det_sqrt
 
 
 @dataclass(frozen=True)
 class AtlasRegion:
-    code_hash: str
+    code: np.ndarray           # the region's activation bit row (bool)
     rep_z: np.ndarray          # a probe point inside the region
     affine: cpa.AffineMap
     sigma: np.ndarray          # full singular spectrum of the slope
-    log_volume: float          # sum log(sigma + eps), full spectrum
     prior_mass: float          # fraction of the latent box in this region
     pinv: np.ndarray           # Moore-Penrose pseudo-inverse of the slope
 
@@ -55,11 +54,6 @@ def _grid_points(domain, resolution):
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _code_keys(net, pts):
-    codes = cpa.region_codes(net, pts)
-    return [cpa.ActivationCode(c).digest for c in codes]
-
-
 def enumerate_regions(net, domain, resolution=64, seed=0):
     """Probe a regular grid (plus jitter near code changes) to map the partition.
 
@@ -79,63 +73,56 @@ def enumerate_regions(net, domain, resolution=64, seed=0):
 
     coarse = _grid_points(domain, resolution)
     fine = _grid_points(domain, 2 * resolution)
-    coarse_keys = set(_code_keys(net, coarse))
-    fine_keys = _code_keys(net, fine)
-    fine_set = set(fine_keys)
+    shape = (2 * resolution,) * domain.dim
+    fine_codes, first, labels, counts = np.unique(
+        cpa.region_codes(net, fine), axis=0, return_index=True,
+        return_inverse=True, return_counts=True,
+    )
+    labels = labels.reshape(shape)
 
     # jittered probes inside fine cells whose axis-neighbor has a different code
     rng = np.random.default_rng(seed)
-    shape = (2 * resolution,) * domain.dim
-    key_arr = np.array(fine_keys).reshape(shape)
     boundary = np.zeros(shape, dtype=bool)
     for d in range(domain.dim):
-        diff = np.take(key_arr, range(1, shape[d]), axis=d) != np.take(
-            key_arr, range(0, shape[d] - 1), axis=d
-        )
+        diff = np.diff(labels, axis=d) != 0
         pad_lo = np.zeros((*shape[:d], 1, *shape[d + 1 :]), dtype=bool)
         boundary |= np.concatenate([diff, pad_lo], axis=d)
         boundary |= np.concatenate([pad_lo, diff], axis=d)
     cell = (domain.hi - domain.lo) / (2 * resolution)
     centers = fine[boundary.reshape(-1)]
-    jitter_keys = []
-    probes = np.empty((0, domain.dim))
-    if centers.shape[0]:
-        reps = 8
-        probes = (
-            centers[:, None, :]
-            + rng.uniform(-1.0, 1.0, size=(centers.shape[0], reps, domain.dim)) * cell
-        ).reshape(-1, domain.dim)
-        # stay strictly interior: clipping onto the box edge can land exactly
-        # on an activation hyperplane and manufacture a measure-zero code
-        margin = 1e-9 * (domain.hi - domain.lo)
-        probes = np.clip(probes, domain.lo + margin, domain.hi - margin)
-        jitter_keys = _code_keys(net, probes)
+    reps = 8
+    probes = (
+        centers[:, None, :]
+        + rng.uniform(-1.0, 1.0, size=(centers.shape[0], reps, domain.dim)) * cell
+    ).reshape(-1, domain.dim)
+    # stay strictly interior: clipping onto the box edge can land exactly
+    # on an activation hyperplane and manufacture a measure-zero code
+    margin = 1e-9 * (domain.hi - domain.lo)
+    probes = np.clip(probes, domain.lo + margin, domain.hi - margin)
 
-    complete = fine_set == coarse_keys and set(jitter_keys) <= fine_set
-    all_keys = sorted(fine_set | set(jitter_keys))
-
-    counts = {k: 0 for k in all_keys}
-    reps_z = {}
-    for key, z in zip(fine_keys, fine):
-        counts[key] += 1
-        reps_z.setdefault(key, z)
-    for key, z in zip(jitter_keys, probes):
-        reps_z.setdefault(key, z)
-    total = len(fine_keys)
+    # fine-grid codes plus any only the probes found, in np.unique row order;
+    # each code's first occurrence in [fine codes, probes] gives its
+    # representative (first fine point in grid order, else first probe)
+    codes, source = np.unique(
+        np.concatenate([fine_codes, cpa.region_codes(net, probes)]), axis=0,
+        return_index=True,
+    )
+    complete = len(codes) == len(fine_codes) and np.array_equal(
+        np.unique(cpa.region_codes(net, coarse), axis=0), fine_codes
+    )
+    rep_z = np.concatenate([fine[first], probes])[source]
+    prior_mass = np.concatenate([counts, np.zeros(len(probes), int)])[source] / len(fine)
 
     regions = []
-    for key in all_keys:
-        z = reps_z[key]
+    for code, z, mass in zip(codes, rep_z, prior_mass):
         amap = cpa.affine_map(net, z)
-        sigma = np.linalg.svd(amap.slope, compute_uv=False)
         regions.append(
             AtlasRegion(
-                code_hash=key,
-                rep_z=np.asarray(z, dtype=np.float64),
+                code=code,
+                rep_z=z,
                 affine=amap,
-                sigma=sigma,
-                log_volume=float(np.sum(np.log(sigma + DEFAULT_EPS))),
-                prior_mass=counts[key] / total,
+                sigma=np.linalg.svd(amap.slope, compute_uv=False),
+                prior_mass=float(mass),
                 pinv=np.linalg.pinv(amap.slope, rcond=RANK_RTOL),
             )
         )
@@ -159,7 +146,8 @@ def normalization_constant(atlas, rho):
 
 
 def analytic_density(atlas, x, rho):
-    """Exact output density at x under polarity rho (uniform box prior).
+    """Exact output density under polarity rho (uniform box prior) at one
+    point ``x`` of shape (D,), giving a float, or a batch (m, D), giving (m,).
 
     Sums det(A^T A)^((rho-1)/2) over every region whose image contains x:
     the pre-image z* = pinv(A)(x - b) must carry the region's own activation
@@ -168,24 +156,24 @@ def analytic_density(atlas, x, rho):
     """
     if not atlas.complete:
         raise StateError("atlas is incomplete; rebuild at higher resolution")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != atlas.net.output_dim:
+    x = np.asarray(x, dtype=np.float64)
+    xs = x[None, :] if x.ndim == 1 else x
+    if xs.ndim != 2 or xs.shape[1] != atlas.net.output_dim:
         raise InputError(
-            f"query dim {x.size} does not match output dim {atlas.net.output_dim}"
+            f"query shape {x.shape} does not match output dim {atlas.net.output_dim}"
         )
-    tol = 1e-8 * (1.0 + np.linalg.norm(x))
-    total = 0.0
+    tol = 1e-8 * (1.0 + np.linalg.norm(xs, axis=1))
+    total = np.zeros(xs.shape[0])
     for region in atlas.regions:
-        z_star = region.pinv @ (x - region.affine.offset)
-        if not atlas.domain.contains(z_star)[0]:
-            continue
-        residual = np.linalg.norm(region.affine.slope @ z_star + region.affine.offset - x)
-        if residual > tol:
-            continue
-        if cpa.region_code(atlas.net, z_star).digest != region.code_hash:
-            continue
-        total += np.exp((rho - 1.0) * pseudo_log_det_sqrt(region.sigma))
-    return total / normalization_constant(atlas, rho)
+        A, b = region.affine.slope, region.affine.offset
+        z_star = (xs - b) @ region.pinv.T
+        ok = atlas.domain.contains(z_star)
+        ok &= np.linalg.norm(z_star @ A.T + b - xs, axis=1) <= tol
+        ok[ok] = np.all(cpa.region_codes(atlas.net, z_star[ok]) == region.code, axis=1)
+        w = np.exp((rho - 1.0) * pseudo_log_det_sqrt(region.sigma))
+        total += np.where(ok, w, 0.0)
+    total /= normalization_constant(atlas, rho)
+    return float(total[0]) if x.ndim == 1 else total
 
 
 def mode_regions(atlas, rho):

@@ -34,6 +34,20 @@ def child_seed(master, label, *indices):
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big") >> 1
 
 
+# numeric config fields and grids, with the types their values must have
+_NUMBER_FIELDS = {
+    **dict.fromkeys(("n", "k", "s", "seed", "k_nn", "j", "n_pairs", "m_top",
+                     "resolution"), int),
+    "eps": (int, float), "epsilon": (int, float),
+}
+_GRID_FIELDS = {"rho_grid": (int, float), "psi_grid": (int, float),
+                "n_grid": int, "k_grid": int}
+
+
+def _has_type(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     model_path: str
@@ -59,6 +73,19 @@ class ExperimentConfig:
     resolution: int = 64
 
     def __post_init__(self):
+        for name, kind in _NUMBER_FIELDS.items():
+            value = getattr(self, name)
+            if not _has_type(value, kind):
+                what = "an integer" if kind is int else "a number"
+                raise ConfigError(f"config field {name!r} must be {what}, got {value!r}")
+        for name, kind in _GRID_FIELDS.items():
+            grid = getattr(self, name)
+            if grid is not None and not (
+                isinstance(grid, list) and all(_has_type(v, kind) for v in grid)
+            ):
+                what = "integers" if kind is int else "numbers"
+                raise ConfigError(f"config field {name!r} must be a list of {what}, "
+                                  f"got {grid!r}")
         if not self.rho_grid:
             raise ConfigError("rho grid must be nonempty")
         if not self.psi_grid:

@@ -122,12 +122,31 @@ class LatentDomain:
 
     @staticmethod
     def from_dict(d):
+        """Inverse of ``to_dict``; any malformed document is a ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"domain must be an object, not {type(d).__name__}")
         kind = d.get("kind")
-        if kind == "uniform_box":
-            return LatentDomain(kind, lo=d["lo"], hi=d["hi"])
-        if kind == "gaussian":
-            return LatentDomain(kind, mean=d["mean"], std=d["std"], psi=d.get("psi"))
-        raise ConfigError(f"unknown domain kind {kind!r}")
+        fields = {"uniform_box": ("lo", "hi"), "gaussian": ("mean", "std")}.get(kind)
+        if fields is None:
+            raise ConfigError(f"unknown domain kind {kind!r}")
+        spec = {}
+        for key in fields:
+            if key not in d:
+                raise ConfigError(f"{kind} domain has no field {key!r}")
+            try:
+                value = np.asarray(d[key])
+            except ValueError as exc:
+                raise ConfigError(f"domain field {key!r}: {exc}") from exc
+            if value.dtype.kind not in "iuf" or not np.all(np.isfinite(value)):
+                raise ConfigError(f"domain field {key!r} must hold finite numbers")
+            spec[key] = value
+        psi = d.get("psi") if kind == "gaussian" else None
+        if isinstance(psi, bool) or not isinstance(psi, (int, float, type(None))):
+            raise ConfigError(f"domain field 'psi' must be a number, got {psi!r}")
+        try:
+            return LatentDomain(kind, psi=psi, **spec)
+        except InputError as exc:
+            raise ConfigError(f"bad {kind} domain: {exc}") from exc
 
 
 def truncation_sample(domain, psi, s, seed):
@@ -233,7 +252,7 @@ class SamplePool:
                 )
         try:
             domain = LatentDomain.from_dict(doc["domain"])
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        except ConfigError as exc:
             raise ValidationError(f"{path}: bad pool domain: {exc}") from exc
         n = doc["n"]
         shapes = {"z": (n, domain.dim), "log_volumes": (n,),

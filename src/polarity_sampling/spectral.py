@@ -6,8 +6,6 @@ slope matrix; everything here feeds that computation, including the
 semi-orthogonal sketch used to shrink tall slope matrices before the SVD.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -15,22 +13,6 @@ from .errors import InputError
 DEFAULT_EPS = 1e-12
 # relative cutoff below which singular values count as zero in pseudo-determinants
 RANK_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SpectrumTopK:
-    """The k largest singular values of a slope matrix, descending."""
-
-    values: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if v.size != self.k:
-            raise InputError(f"expected {self.k} singular values, got {v.size}")
-        if np.any(v < 0) or np.any(np.diff(v) > 0):
-            raise InputError("singular values must be nonnegative and descending")
-        object.__setattr__(self, "values", v)
 
 
 def top_k_singular_values(A, k):
@@ -41,8 +23,7 @@ def top_k_singular_values(A, k):
         raise InputError("matrix contains non-finite entries")
     if not (1 <= k <= min(A.shape)):
         raise InputError(f"k={k} outside [1, min{A.shape}]")
-    sigma = np.linalg.svd(A, compute_uv=False)
-    return SpectrumTopK(sigma[:k], k)
+    return np.linalg.svd(A, compute_uv=False)[:k]
 
 
 def batch_top_k_singular_values(As, k):
@@ -59,8 +40,7 @@ def log_volume(spectrum, eps=DEFAULT_EPS):
     """``sum_i log(sigma_i + eps)``; eps > 0 guards exactly-zero values."""
     if eps <= 0:
         raise InputError("eps must be positive")
-    values = spectrum.values if isinstance(spectrum, SpectrumTopK) else np.asarray(spectrum)
-    return float(np.sum(np.log(values + eps)))
+    return float(np.sum(np.log(np.asarray(spectrum) + eps)))
 
 
 def pseudo_log_det_sqrt(sigma, rtol=RANK_RTOL):

@@ -93,6 +93,46 @@ def test_pool_and_sample_golden_outputs(name, tmp_path, capsys):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# Pinned `density eval` outputs on 2-region atlases (density at rho=-2,
+# density at rho=0.5).  A two-term region sum commutes, so neither the
+# region order nor batching may move these bytes.
+DENSITY_GOLDEN = {
+    "two_piece": (
+        zoo.two_piece_net, zoo.two_piece_domain, [np.linspace(-2.5, 1.0, 36)],
+        ("8df218d8b79b819337ed1014fe8552a935dbeb10376ac48e36f3e96138470624",
+         "d5c8c888859060580773e8cf4611c9d99a1fa872617a2c52e5af16cbebfc2ae6"),
+    ),
+    "abs": (
+        zoo.abs_net, zoo.two_piece_domain, [np.linspace(-0.25, 1.25, 31)],
+        ("3e67f29b1cb7f8f21cd697af98a017829df09e0427d6d366f2a03eb28c636d16",
+         "3e67f29b1cb7f8f21cd697af98a017829df09e0427d6d366f2a03eb28c636d16"),
+    ),
+    "ramp_2d": (
+        zoo.ramp_2d_net, zoo.ramp_2d_domain,
+        [np.linspace(-0.75, 2.25, 13), np.linspace(-0.25, 2.25, 11)],
+        ("2e61b27be6f660b20887b03346c84efc8571065e98ebae16fa972e1e937952d7",
+         "acee2bbeb585e17c68125378ebf0a94e44cd57759a49cb3333437ee85cbcc2a4"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSITY_GOLDEN))
+def test_density_eval_golden_outputs(name, tmp_path):
+    make_net, make_domain, axes, digests = DENSITY_GOLDEN[name]
+    model, cfg, pts = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "pts.csv"
+    save_model(make_net(), model)
+    ExperimentConfig(model_path=str(model), domain=make_domain().to_dict(),
+                     seed=4, rho_grid=[0.0], resolution=64).to_json(cfg)
+    mesh = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    write_csv(pts, [f"x{d}" for d in range(len(axes))],
+              [tuple(float(v) for v in row) for row in mesh])
+    for rho, digest in zip(("-2.0", "0.5"), digests):
+        out = tmp_path / f"density{rho}.csv"
+        assert main(["density", "eval", "--config", str(cfg), "--rho", rho,
+                     "--points", str(pts), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_sample_refuses_mismatched_model(workdir, tmp_path, capsys):
     pool = workdir / "pool.json"
     main(["pool", "build", "--config", str(workdir / "cfg.json"),
@@ -264,6 +304,84 @@ def test_malformed_pool_exits_2(case, workdir, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
     if case == "v1_file":
         assert "rebuild it with `polsamp pool build`" in err
+
+
+def _config_edit(**fields):
+    return "config", lambda doc: {**doc, **fields}
+
+
+def _model_edit(layer=None, **fields):
+    def edit(doc):
+        doc = {**doc, **fields}
+        if layer is not None:
+            doc["layers"] = [{**doc["layers"][0], **layer}] + doc["layers"][1:]
+        return doc
+    return "model", edit
+
+
+# case -> (which input is malformed, its edit or text, text the error names)
+MALFORMED_INPUTS = {
+    "domain_not_object": (*_config_edit(domain=[-1.0, 1.0]), "domain"),
+    "domain_missing_lo": (*_config_edit(domain={"kind": "uniform_box", "hi": [1.0]}),
+                          "'lo'"),
+    "domain_missing_hi": (*_config_edit(domain={"kind": "uniform_box", "lo": [-1.0]}),
+                          "'hi'"),
+    "domain_missing_mean": (*_config_edit(domain={"kind": "gaussian", "std": [1.0]}),
+                            "'mean'"),
+    "domain_missing_std": (*_config_edit(domain={"kind": "gaussian", "mean": [0.0]}),
+                           "'std'"),
+    "domain_non_numeric": (*_config_edit(
+        domain={"kind": "uniform_box", "lo": ["a"], "hi": [1.0]}), "'lo'"),
+    "domain_null_entry": (*_config_edit(
+        domain={"kind": "gaussian", "mean": [None], "std": [1.0]}), "'mean'"),
+    "domain_psi_string": (*_config_edit(
+        domain={"kind": "gaussian", "mean": [0.0], "std": [1.0], "psi": "0.5"}), "'psi'"),
+    "n_string": (*_config_edit(n="abc"), "'n'"),
+    "k_float": (*_config_edit(k=1.5), "'k'"),
+    "s_bool": (*_config_edit(s=True), "'s'"),
+    "seed_null": (*_config_edit(seed=None), "'seed'"),
+    "k_nn_string": (*_config_edit(k_nn="3"), "'k_nn'"),
+    "j_float": (*_config_edit(j=3.0), "'j'"),
+    "n_pairs_list": (*_config_edit(n_pairs=[10]), "'n_pairs'"),
+    "m_top_bool": (*_config_edit(m_top=False), "'m_top'"),
+    "resolution_string": (*_config_edit(resolution="64"), "'resolution'"),
+    "eps_string": (*_config_edit(eps="x"), "'eps'"),
+    "epsilon_null": (*_config_edit(epsilon=None), "'epsilon'"),
+    "rho_grid_not_list": (*_config_edit(rho_grid=5), "'rho_grid'"),
+    "rho_grid_string_entry": (*_config_edit(rho_grid=["a"]), "'rho_grid'"),
+    "psi_grid_bool_entry": (*_config_edit(psi_grid=[True]), "'psi_grid'"),
+    "n_grid_float_entry": (*_config_edit(n_grid=[100.5]), "'n_grid'"),
+    "k_grid_string": (*_config_edit(k_grid="1"), "'k_grid'"),
+    "input_dim_string": (*_model_edit(input_dim="abc"), "input_dim"),
+    "bias_non_numeric": (*_model_edit(layer={"bias": ["x", 0.0]}), "bias"),
+    "alpha_non_numeric": (*_model_edit(layer={"activation": "leaky_relu",
+                                              "alpha": "abc"}), "alpha"),
+    "points_short_second_row": ("points", "1.0,2.0\n3.0\n", None),
+    "points_non_numeric_row": ("points", "x0\n1.0\nabc\n", None),
+    "points_header_only": ("points", "x0\n", "no points"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(case, tmp_path, capsys):
+    which, edit, names = MALFORMED_INPUTS[case]
+    model, cfg, pts = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "pts.csv"
+    save_model(zoo.two_piece_net(), model)
+    ExperimentConfig(model_path=str(model), domain=zoo.two_piece_domain().to_dict(),
+                     seed=1, rho_grid=[0.0], n=200, k=1).to_json(cfg)
+    pts.write_text("x0\n-1.0\n0.25\n")
+    if which == "points":
+        pts.write_text(edit)
+    else:
+        path = cfg if which == "config" else model
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    rc = main(["density", "eval", "--config", str(cfg), "--rho", "0.0",
+               "--points", str(pts), "--out", str(tmp_path / "d.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if names:
+        assert names in err
 
 
 def test_sampling_timeout_exits_3(workdir, monkeypatch, capsys):

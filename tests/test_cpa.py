@@ -6,7 +6,7 @@ import pytest
 from polarity_sampling import (
     CpaNetwork, InputError, Layer, ModelFormatError, ValidationError,
     affine_map, affine_maps, compose, fingerprint, forward, identity_net,
-    load_model, region_code, region_codes, save_model,
+    load_model, region_codes, save_model,
 )
 from polarity_sampling import zoo
 
@@ -66,14 +66,14 @@ def test_cpa_exactness_forward_equals_affine_map():
 
 
 def test_region_code_identity_net_empty():
-    assert len(region_code(identity_net(3), np.array([1.0, 2.0, 3.0]))) == 0
+    assert region_codes(identity_net(3), np.array([1.0, 2.0, 3.0]))[0].size == 0
 
 
 def test_region_code_single_relu_unit():
     net = CpaNetwork(name="one", layers=(Layer(np.array([[1.0]]), np.array([0.5]), "relu"),))
-    assert region_code(net, np.array([0.0])).bits.tolist() == [True]
+    assert region_codes(net, np.array([0.0]))[0].tolist() == [True]
     # ties at exactly zero resolve to the off branch
-    assert region_code(net, np.array([-0.5])).bits.tolist() == [False]
+    assert region_codes(net, np.array([-0.5]))[0].tolist() == [False]
 
 
 def test_nearby_points_share_code_and_map():
@@ -83,7 +83,8 @@ def test_nearby_points_share_code_and_map():
     for _ in range(50):
         z = rng.uniform(-1, 1, net.input_dim)
         z2 = z + 1e-9 * rng.standard_normal(net.input_dim)
-        if region_code(net, z) == region_code(net, z2):
+        codes = region_codes(net, np.stack([z, z2]))
+        if np.array_equal(codes[0], codes[1]):
             am = affine_map(net, z)
             for p in (z, z2):
                 np.testing.assert_allclose(

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarity_sampling import (
     CpaNetwork, InputError, LatentDomain, Layer, PolaritySampler, ScaleError,
     StateError, analytic_density, build_pool, enumerate_regions, identity_net,
-    mc_density, mode_regions, normalization_constant, sample_batch,
+    mc_density, mode_regions, normalization_constant, region_codes, sample_batch,
     total_variation,
 )
 from polarity_sampling import zoo
@@ -28,6 +29,10 @@ def test_enumerate_two_piece():
     assert len(atlas.regions) == 2
     for r in atlas.regions:
         assert abs(r.prior_mass - 0.5) <= 1.0 / res
+        np.testing.assert_array_equal(r.code, region_codes(atlas.net, r.rep_z)[0])
+    # regions come in np.unique row order of their bit rows
+    codes = np.array([r.code for r in atlas.regions])
+    np.testing.assert_array_equal(codes, np.unique(codes, axis=0))
 
 
 def test_enumerate_halfspace_2d():
@@ -97,6 +102,28 @@ def test_analytic_density_incomplete_atlas(two_piece_atlas):
         analytic_density(broken, [0.0], 0.0)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
+def test_analytic_density_batch_closed_form(two_piece_atlas, xs):
+    # U[-1,1] through slopes 2 (z<0) and 1/2 (z>=0): 1/4 on [-2,0), 1 on [0,1/2]
+    # except at x = 0 itself, whose one pre-image z = 0 has both relu units
+    # off (ties take the off branch): a measure-zero code of no region
+    x = np.array(xs)
+    expected = np.where((x >= -2.0) & (x < 0.0), 0.25,
+                        np.where((x > 0.0) & (x <= 0.5), 1.0, 0.0))
+    got = analytic_density(two_piece_atlas, x[:, None], 0.0)
+    assert got.shape == (x.size,)
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+    assert [analytic_density(two_piece_atlas, [v], 0.0) for v in xs] == got.tolist()
+
+
+@pytest.mark.parametrize("x", [np.zeros((3, 2)), np.zeros(2), np.zeros((2, 1, 1)),
+                               np.float64(0.5)])
+def test_analytic_density_rejects_wrong_dimension(two_piece_atlas, x):
+    with pytest.raises(InputError):
+        analytic_density(two_piece_atlas, x, 0.0)
+
+
 def _quadrature_mass(atlas, rho, lo, hi, counts):
     """Midpoint quadrature of the analytic density over a box covering the image."""
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
@@ -105,7 +132,7 @@ def _quadrature_mass(atlas, rho, lo, hi, counts):
             for d in range(lo.size)]
     mesh = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     cell = np.prod((hi - lo) / counts)
-    return sum(analytic_density(atlas, x, rho) for x in mesh) * cell
+    return analytic_density(atlas, mesh, rho).sum() * cell
 
 
 @pytest.mark.parametrize("rho", [-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -160,10 +187,7 @@ def test_mc_density_flat_for_identity():
 
 def _analytic_bin_mass(atlas, rho, edges):
     centers = (edges[:-1] + edges[1:]) / 2
-    widths = np.diff(edges)
-    return np.array(
-        [analytic_density(atlas, [c], rho) * w for c, w in zip(centers, widths)]
-    )
+    return analytic_density(atlas, centers[:, None], rho) * np.diff(edges)
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0])

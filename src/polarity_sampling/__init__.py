@@ -28,13 +28,9 @@ from .metrics import (
 )
 from .polarity import (
     LatentDomain, OnlineSampler, PolaritySampler, SamplePool, build_pool,
-    polarity_weights, region_log_volumes, sample_batch, sample_online,
-    truncation_sample,
+    polarity_weights, region_log_volumes, sample_batch,
 )
-from .spectral import (
-    log_volume, pseudo_log_det_sqrt, random_semi_orthogonal, sketch_spectrum,
-    top_k_singular_values,
-)
+from .spectral import pseudo_log_det_sqrt
 from .synth import SyntheticDataset
 
 __version__ = "0.1.0"

@@ -110,17 +110,21 @@ def _parses_as_float(field):
 
 
 def _read_points(path):
-    """Comma-separated float rows.  Row 1 is a header, as the sample
-    subcommand writes one, only when none of its fields parses as a float."""
+    """Comma-separated rows of finite floats.  Row 1 is a header, as the
+    sample subcommand writes one, only when none of its fields parses as a
+    float."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if lines and not any(_parses_as_float(f) for f in lines[0].split(",")):
+        lines = lines[1:]
+    if not any(line.strip() for line in lines):
+        raise ConfigError(f"{path}: no points")
     try:
-        with open(path) as fh:
-            first = fh.readline()
-        header = not any(_parses_as_float(f) for f in first.split(","))
-        pts = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=int(header))
+        pts = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if pts.size == 0:
-        raise ConfigError(f"{path}: no points")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(f"{path}: points must be finite numbers")
     return pts
 
 

@@ -35,6 +35,9 @@ class Layer:
             raise ValidationError(
                 f"layer weight {w.shape} and bias {b.shape} do not agree"
             )
+        for name, value in (("weight", w), ("bias", b)):
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(f"layer {name} holds non-finite entries")
         if self.activation not in ACTIVATIONS:
             raise ValidationError(f"unsupported activation {self.activation!r}")
         if self.activation == "leaky_relu" and not (0.0 < self.alpha < 1.0):

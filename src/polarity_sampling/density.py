@@ -9,7 +9,6 @@ Monte-Carlo histogram here is the independent oracle the samplers are
 validated against.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,22 +192,6 @@ def mode_regions(atlas, rho):
 class Histogram:
     edges: tuple            # per-dimension bin edge arrays
     mass: np.ndarray        # normalized to total draw count
-
-    def save_csv(self, path):
-        dims = len(self.edges)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"bin_lo_{d}" for d in range(dims)]
-                + [f"bin_hi_{d}" for d in range(dims)]
-                + ["mass"]
-            )
-            it = np.ndindex(self.mass.shape)
-            for idx in it:
-                row = [repr(float(self.edges[d][idx[d]])) for d in range(dims)]
-                row += [repr(float(self.edges[d][idx[d] + 1])) for d in range(dims)]
-                row.append(repr(float(self.mass[idx])))
-                writer.writerow(row)
 
 
 def mc_density(net, draws, bins):

@@ -18,12 +18,10 @@ import numpy as np
 from . import cpa
 from .errors import ConfigError
 from .metrics import (
-    DomainSampler, SampleSet, frechet_distance, nn_distances, nn_summary,
-    path_length, precision_recall,
+    SampleSet, frechet_distance, nn_distances, nn_summary, path_length,
+    precision_recall,
 )
-from .polarity import (
-    LatentDomain, PolaritySampler, build_pool, sample_batch,
-)
+from .polarity import LatentDomain, PolaritySampler, build_pool, sample_batch
 from .spectral import DEFAULT_EPS
 from .synth import SyntheticDataset
 

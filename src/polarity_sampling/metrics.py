@@ -123,30 +123,19 @@ class PathLengthResult:
     quantiles: dict
 
 
-def path_length(net, sampler, epsilon, n_pairs, seed, feature_net=None,
-                endpoint_space="latent", inner=None):
+def path_length(net, sampler, epsilon, n_pairs, seed, feature_net=None):
     """Squared feature displacement per unit interpolation step.
 
     Endpoint pairs come from ``sampler.draw``; for each pair and t ~ U[0,1]
-    the score is ||F(G(lerp(t))) - F(G(lerp(t+eps)))||^2 / eps^2.  With
-    ``endpoint_space="intermediate"`` the endpoints are first pushed through
-    ``inner`` and interpolation happens in that space, with ``net`` mapping
-    it onward.
+    the score is ||F(G(lerp(t))) - F(G(lerp(t+eps)))||^2 / eps^2.
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
     if n_pairs < 1:
         raise InputError("need at least one pair")
-    if endpoint_space not in ("latent", "intermediate"):
-        raise InputError(f"unknown endpoint space {endpoint_space!r}")
-    if endpoint_space == "intermediate" and inner is None:
-        raise InputError("intermediate endpoints require the inner network")
     seq = np.random.SeedSequence(seed).spawn(3)
     e1 = sampler.draw(n_pairs, seq[0])
     e2 = sampler.draw(n_pairs, seq[1])
-    if endpoint_space == "intermediate":
-        e1 = cpa.forward(inner, e1)
-        e2 = cpa.forward(inner, e2)
     t = np.random.default_rng(seq[2]).uniform(size=(n_pairs, 1))
     p0 = e1 + t * (e2 - e1)
     p1 = e1 + (t + epsilon) * (e2 - e1)

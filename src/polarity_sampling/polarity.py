@@ -2,7 +2,7 @@
 
 Pool construction draws N latents, records each one's region log-volume
 (sum of log top-k singular values of the local slope matrix), and the
-samplers then resample those latents under softmax(rho * log_volume):
+samplers then resample those latents under softmax(rho * log-volume):
 rho < 0 concentrates on the output-density modes (small Jacobian volume),
 rho > 0 on the anti-modes, rho = 0 reproduces the prior.
 """
@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import cpa
 from .errors import ConfigError, InputError, SamplingTimeout, StateError, ValidationError
@@ -147,13 +146,6 @@ class LatentDomain:
             return LatentDomain(kind, psi=psi, **spec)
         except InputError as exc:
             raise ConfigError(f"bad {kind} domain: {exc}") from exc
-
-
-def truncation_sample(domain, psi, s, seed):
-    """Truncation baseline: gaussian prior restricted to mean +- psi * 2 * std."""
-    if s < 1:
-        raise InputError("need at least one sample")
-    return domain.truncate(psi).sample(s, np.random.default_rng(seed))
 
 
 # --- pools -------------------------------------------------------------------
@@ -402,30 +394,22 @@ class OnlineSampler:
     """Rejection sampling against the pool's weight scale, no pool lookup.
 
     Fresh candidates come straight from the prior; each one's Jacobian
-    spectrum is computed on the fly.  Variants:
-
-    * ``max_normalized`` (default): accept with probability w_z / w_max where
-      w_max is the largest pool weight; acceptance is exactly proportional
-      to w_z, i.e. textbook rejection sampling for the target density.
-    * ``paper_faithful``: accept when w_z / (w_z + sum_i w_i) >= alpha with
-      alpha ~ U[0,1]; kept for comparison, its acceptance rate shrinks with
-      pool size.
+    spectrum is computed on the fly.  A candidate is accepted with
+    probability w_z / w_max, w_max the largest pool weight, so acceptance
+    is exactly proportional to w_z: textbook rejection sampling for the
+    target density.  That holds only while w_max bounds every candidate; a
+    candidate that outweighs it raises StateError instead of biasing the
+    draws.
     """
 
-    def __init__(self, pool, net, rho, seed, variant="max_normalized",
-                 feature_net=None):
+    def __init__(self, pool, net, rho, seed, feature_net=None):
         if pool.n == 0:
             raise StateError("empty pool")
-        if variant not in ("max_normalized", "paper_faithful"):
-            raise InputError(f"unknown online variant {variant!r}")
         self.pool = pool
         self.net = _effective_net(net, pool.space, feature_net)
         self.rho = float(rho)
-        self.variant = variant
         self.rng = np.random.default_rng(seed)
-        pool_scores = rho * pool.log_volumes
-        self._log_wmax = float(pool_scores.max())
-        self._log_wsum = float(logsumexp(pool_scores))
+        self._log_wmax = float((rho * pool.log_volumes).max())
         self._proposed = 0
         self._accepted = 0
 
@@ -438,13 +422,14 @@ class OnlineSampler:
             lw = self.rho * region_log_volumes(
                 self.net, zs, self.pool.k, self.pool.eps
             )[0]
-            alpha = self.rng.uniform(size=chunk)
-            if self.variant == "max_normalized":
-                accept = alpha < np.exp(np.minimum(lw - self._log_wmax, 0.0))
-            else:
-                # log of w_z / (w_z + sum_pool w_i)
-                denom = np.logaddexp(lw, self._log_wsum)
-                accept = (lw - denom) >= np.log(np.maximum(alpha, 1e-300))
+            excess = float(lw.max()) - self._log_wmax
+            if excess > 0.0:
+                raise StateError(
+                    f"online envelope violated: a fresh candidate outweighs all "
+                    f"{self.pool.n} pool latents (log-weight excess {excess:.3g}); "
+                    f"build a larger pool"
+                )
+            accept = self.rng.uniform(size=chunk) < np.exp(lw - self._log_wmax)
             took = zs[accept]
             take = min(s - filled, took.shape[0])
             out[filled : filled + take] = took[:take]
@@ -461,8 +446,3 @@ class OnlineSampler:
     @property
     def acceptance_rate(self):
         return self._accepted / max(self._proposed, 1)
-
-
-def sample_online(pool, net, rho, seed, variant="max_normalized", feature_net=None):
-    """One accepted latent from the online rejection sampler."""
-    return OnlineSampler(pool, net, rho, seed, variant, feature_net).draw(1)[0]

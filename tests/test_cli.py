@@ -356,14 +356,18 @@ MALFORMED_INPUTS = {
     "bias_non_numeric": (*_model_edit(layer={"bias": ["x", 0.0]}), "bias"),
     "alpha_non_numeric": (*_model_edit(layer={"activation": "leaky_relu",
                                               "alpha": "abc"}), "alpha"),
+    "weight_nan": (*_model_edit(layer={"weight": [[float("nan")], [-1.0]]}), "weight"),
+    "bias_infinity": (*_model_edit(layer={"bias": [float("inf"), 0.0]}), "bias"),
     "points_short_second_row": ("points", "1.0,2.0\n3.0\n", None),
     "points_non_numeric_row": ("points", "x0\n1.0\nabc\n", None),
     "points_header_only": ("points", "x0\n", "no points"),
+    "points_empty": ("points", "", "no points"),
+    "points_nan": ("points", "x0\nnan\n-1.0\n", "finite"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_exits_2(case, tmp_path, capsys):
+def test_malformed_input_exits_2(case, tmp_path, capsys, recwarn):
     which, edit, names = MALFORMED_INPUTS[case]
     model, cfg, pts = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "pts.csv"
     save_model(zoo.two_piece_net(), model)
@@ -382,6 +386,7 @@ def test_malformed_input_exits_2(case, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
     if names:
         assert names in err
+    assert not recwarn.list, [str(w.message) for w in recwarn]
 
 
 def test_sampling_timeout_exits_3(workdir, monkeypatch, capsys):

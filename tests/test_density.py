@@ -105,12 +105,14 @@ def test_analytic_density_incomplete_atlas(two_piece_atlas):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40))
 def test_analytic_density_batch_closed_form(two_piece_atlas, xs):
-    # U[-1,1] through slopes 2 (z<0) and 1/2 (z>=0): 1/4 on [-2,0), 1 on [0,1/2]
-    # except at x = 0 itself, whose one pre-image z = 0 has both relu units
-    # off (ties take the off branch): a measure-zero code of no region
+    # U[-1,1] through slopes 2 (z<0) and 1/2 (z>=0): 1/4 where the pre-image
+    # x/2 lies in [-1,0), 1 where the pre-image 2x lies in (0,1].  A pre-image
+    # z = 0 has both relu units off (ties take the off branch): a measure-zero
+    # code of no region.  That is x = 0, and also x = -5e-324, whose pre-image
+    # x/2 rounds to -0.0 in float64.
     x = np.array(xs)
-    expected = np.where((x >= -2.0) & (x < 0.0), 0.25,
-                        np.where((x > 0.0) & (x <= 0.5), 1.0, 0.0))
+    expected = np.where((x / 2 >= -1.0) & (x / 2 < 0.0), 0.25,
+                        np.where((2 * x > 0.0) & (2 * x <= 1.0), 1.0, 0.0))
     got = analytic_density(two_piece_atlas, x[:, None], 0.0)
     assert got.shape == (x.size,)
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
@@ -220,14 +222,3 @@ def test_mc_density_input_errors():
         mc_density(net, np.empty((0, 1)), [np.linspace(0, 1, 5)])
     with pytest.raises(InputError):
         mc_density(net, np.zeros((10, 1)), [np.array([0.0, 0.0, 1.0])])
-
-
-def test_histogram_csv_export(tmp_path):
-    net = identity_net(1)
-    hist = mc_density(net, np.linspace(-1, 1, 100)[:, None],
-                      [np.linspace(-1, 1, 5)])
-    path = tmp_path / "hist.csv"
-    hist.save_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "bin_lo_0,bin_hi_0,mass"
-    assert len(lines) == 5

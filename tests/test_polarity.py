@@ -5,7 +5,7 @@ from scipy import stats
 from polarity_sampling import (
     ConfigError, InputError, LatentDomain, OnlineSampler,
     PolaritySampler, SamplePool, build_pool, forward, polarity_weights,
-    region_codes, sample_batch, sample_online, truncation_sample,
+    StateError, region_codes, sample_batch,
 )
 from polarity_sampling import zoo
 
@@ -128,12 +128,11 @@ def test_online_linear_net_matches_prior():
     net = CpaNetwork("lin1", (Layer(np.array([[1.7]]), np.array([0.2])),))
     dom = LatentDomain("uniform_box", lo=[-1.0], hi=[1.0])
     pool = build_pool(net, dom, 50, 1, seed=0)
-    for variant in ("max_normalized", "paper_faithful"):
-        sampler = OnlineSampler(pool, net, 1.0, seed=8, variant=variant)
-        accepted = sampler.draw(2000)
-        assert sampler.acceptance_rate > 1e-3
-        direct = dom.sample(2000, np.random.default_rng(99))
-        assert stats.ks_2samp(accepted[:, 0], direct[:, 0]).pvalue > 0.01
+    sampler = OnlineSampler(pool, net, 1.0, seed=8)
+    accepted = sampler.draw(2000)
+    assert sampler.acceptance_rate > 1e-3
+    direct = dom.sample(2000, np.random.default_rng(99))
+    assert stats.ks_2samp(accepted[:, 0], direct[:, 0]).pvalue > 0.01
 
 
 def test_online_mode_limit():
@@ -156,8 +155,21 @@ def test_online_frequencies_match_target_density():
 def test_online_single_draw_api():
     net = zoo.two_piece_net()
     pool = build_pool(net, zoo.two_piece_domain(), 100, 1, seed=5)
-    z = sample_online(pool, net, -1.0, seed=6)
+    z = OnlineSampler(pool, net, -1.0, seed=6).draw(1)[0]
     assert z.shape == (1,)
+
+
+def test_online_envelope_violation_raises():
+    # the one pool latent sits in the small-slope region, so at rho=2 every
+    # candidate from the other region outweighs the pool maximum
+    net = zoo.bimodal_generator()
+    pool = build_pool(net, zoo.bimodal_domain(), 1, 1, seed=1)
+    assert pool.latents[0, 0] < 0
+    with pytest.raises(StateError, match="all 1 pool latents"):
+        OnlineSampler(pool, net, 2.0, seed=2).draw(1000)
+    # at rho=-2 that latent's region carries the largest weight: no violation
+    zs = OnlineSampler(pool, net, -2.0, seed=2).draw(1000)
+    assert np.mean(zs[:, 0] < 0) >= 0.99
 
 
 def test_batch_online_agreement():
@@ -173,7 +185,7 @@ def test_batch_online_agreement():
 
 def test_truncation_psi_one_statistics():
     dom = LatentDomain("gaussian", mean=[0.0], std=[1.0])
-    zs = truncation_sample(dom, 1.0, 50_000, seed=0)
+    zs = dom.truncate(1.0).sample(50_000, np.random.default_rng(0))
     assert np.all(np.abs(zs) <= 2.0)
     # truncated-normal std at +-2 sigma
     assert abs(zs.std() - 0.8796) < 0.02
@@ -181,16 +193,16 @@ def test_truncation_psi_one_statistics():
 
 def test_truncation_shrinking_support():
     dom = LatentDomain("gaussian", mean=[0.0], std=[1.0])
-    zs = truncation_sample(dom, 0.01, 2000, seed=1)
+    zs = dom.truncate(0.01).sample(2000, np.random.default_rng(1))
     assert np.all(np.abs(zs) <= 0.02)
     assert abs(zs.mean()) < 0.005
-    zs = truncation_sample(dom, 0.5, 2000, seed=2)
+    zs = dom.truncate(0.5).sample(2000, np.random.default_rng(2))
     assert np.all(np.abs(zs) <= 1.0)
 
 
 def test_truncation_rejects_box_domain():
     with pytest.raises(InputError):
-        truncation_sample(zoo.two_piece_domain(), 0.5, 10, seed=0)
+        zoo.two_piece_domain().truncate(0.5)
 
 
 def test_pool_round_trip_and_fingerprint(tmp_path):

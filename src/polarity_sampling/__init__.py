@@ -9,22 +9,22 @@ verify the quality/diversity control.
 """
 
 from .cpa import (
-    AffineMap, CpaNetwork, Layer, affine_map, affine_maps, compose, fingerprint,
-    forward, identity_net, load_model, region_codes, save_model,
+    CpaNetwork, Layer, affine_maps, compose, fingerprint, forward, identity_net,
+    load_model, region_codes, save_model,
 )
 from .density import (
     Histogram, RegionAtlas, analytic_density, enumerate_regions, mc_density,
-    mode_regions, normalization_constant, total_variation,
+    normalization_constant, total_variation,
 )
 from .errors import (
-    ConfigError, InputError, ModelFormatError, PolarityError, SamplingTimeout,
-    ScaleError, StateError, ValidationError,
+    ConfigError, InputError, PolarityError, SamplingTimeout, ScaleError,
+    StateError, ValidationError,
 )
 from .harness import ExperimentConfig, child_seed, run_ablation, run_modes, \
     run_pareto, run_ppl, run_shift, write_csv
 from .metrics import (
-    DomainSampler, MetricReport, PathLengthResult, SampleSet, frechet_distance,
-    nn_distances, path_length, precision_recall,
+    DomainSampler, PathLengthResult, SampleSet, frechet_distance, nn_distances,
+    path_length, precision_recall,
 )
 from .polarity import (
     LatentDomain, OnlineSampler, PolaritySampler, SamplePool, build_pool,

@@ -12,10 +12,7 @@ import sys
 import numpy as np
 
 from . import cpa, density, harness, metrics
-from .errors import (
-    ConfigError, InputError, ModelFormatError, PolarityError, SamplingTimeout,
-    ScaleError, StateError, ValidationError,
-)
+from .errors import ConfigError, PolarityError, SamplingTimeout
 from .polarity import (
     LatentDomain, PolaritySampler, SamplePool, build_pool, sample_batch,
 )
@@ -195,17 +192,19 @@ def _cmd_metrics(args):
     generated = metrics.SampleSet(_read_points(args.generated), "generated")
     reference = metrics.SampleSet(_read_points(args.reference), "reference")
     prec, rec = metrics.precision_recall(reference, generated, args.k_nn)
-    report = metrics.MetricReport(
-        frechet=metrics.frechet_distance(reference, generated),
-        precision=prec,
-        recall=rec,
-        nn_summary=metrics.nn_summary(
+    text = json.dumps({
+        "frechet": metrics.frechet_distance(reference, generated),
+        "precision": prec,
+        "recall": rec,
+        "nn_summary": metrics.nn_summary(
             metrics.nn_distances(generated, reference, args.j)
         ),
-        config={"k_nn": args.k_nn, "j": args.j},
-    )
-    text = report.to_json(args.out)
+        "ppl": None,
+        "config": {"k_nn": args.k_nn, "j": args.j},
+    }, indent=1)
     if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
         print(f"metric report -> {args.out}")
     else:
         print(text)
@@ -214,15 +213,13 @@ def _cmd_metrics(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         args.func(args)
-    except (ConfigError, ModelFormatError, ValidationError, InputError,
-            ScaleError, StateError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SamplingTimeout, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except PolarityError as exc:
+    except (PolarityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

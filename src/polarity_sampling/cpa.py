@@ -9,12 +9,11 @@ point, which is what the rest of the package builds on.
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ModelFormatError, ValidationError
+from .errors import InputError, ValidationError, finite_array, read_json
 
 ACTIVATIONS = ("identity", "relu", "leaky_relu")
 
@@ -56,14 +55,6 @@ class Layer:
     @property
     def nonlinear(self):
         return self.activation != "identity"
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Exact affine restriction ``G(z) = A z + b`` of the network on one region."""
-
-    slope: np.ndarray   # (D, K)
-    offset: np.ndarray  # (D,)
 
 
 @dataclass(frozen=True)
@@ -177,14 +168,6 @@ def affine_maps(net, z):
     return A, b, _join_bits(bits, n)
 
 
-def affine_map(net, z):
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise InputError("affine_map takes a single latent vector")
-    A, b, _ = affine_maps(net, z)
-    return AffineMap(A[0], b[0])
-
-
 def compose(inner, outer):
     """Network computing ``outer(inner(z))``; stays exactly CPA."""
     if inner.output_dim != outer.input_dim:
@@ -218,13 +201,6 @@ def to_dict(net):
     return out
 
 
-def _numeric(value, what):
-    try:
-        return np.array(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} is not numeric ({exc})") from exc
-
-
 def from_dict(data):
     if not isinstance(data, dict):
         raise ValidationError("model document must be an object")
@@ -249,12 +225,13 @@ def from_dict(data):
             )
         if "weight" not in spec:
             raise ValidationError(f"layer {i}: no weight matrix")
-        weight = _numeric(spec["weight"], f"layer {i}: weight")
+        weight = finite_array(spec["weight"], f"layer {i}: weight", ValidationError)
         if weight.ndim != 2:
             raise ValidationError(
                 f"layer {i}: weight rows have inconsistent lengths"
             )
-        bias = _numeric(spec.get("bias", np.zeros(weight.shape[0])), f"layer {i}: bias")
+        bias = finite_array(spec.get("bias", np.zeros(weight.shape[0])),
+                            f"layer {i}: bias", ValidationError)
         alpha = spec.get("alpha", 0.0)
         if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
             raise ValidationError(f"layer {i}: alpha must be a number, got {alpha!r}")
@@ -278,17 +255,7 @@ def save_model(net, path):
 
 
 def load_model(path):
-    if not os.path.exists(path):
-        raise ModelFormatError(f"model file not found: {path}")
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-                f"{exc.msg}"
-            ) from exc
-    return from_dict(data)
+    return from_dict(read_json(path, ValidationError))
 
 
 def fingerprint(net):

@@ -22,7 +22,8 @@ from .spectral import RANK_RTOL, pseudo_log_det_sqrt
 class AtlasRegion:
     code: np.ndarray           # the region's activation bit row (bool)
     rep_z: np.ndarray          # a probe point inside the region
-    affine: cpa.AffineMap
+    slope: np.ndarray          # (D, K): the network is slope @ z + offset here
+    offset: np.ndarray         # (D,)
     sigma: np.ndarray          # full singular spectrum of the slope
     prior_mass: float          # fraction of the latent box in this region
     pinv: np.ndarray           # Moore-Penrose pseudo-inverse of the slope
@@ -36,7 +37,6 @@ class RegionAtlas:
     domain: object             # uniform_box LatentDomain
     regions: tuple
     complete: bool
-    resolution: int
 
     def log_pseudo_dets(self):
         """Per-region log of det(A^T A)^(1/2) (product of nonzero sigmas)."""
@@ -114,21 +114,20 @@ def enumerate_regions(net, domain, resolution=64, seed=0):
 
     regions = []
     for code, z, mass in zip(codes, rep_z, prior_mass):
-        amap = cpa.affine_map(net, z)
+        # one latent per call: a batched call moves offsets by round-off
+        A, b, _ = cpa.affine_maps(net, z)
         regions.append(
             AtlasRegion(
                 code=code,
                 rep_z=z,
-                affine=amap,
-                sigma=np.linalg.svd(amap.slope, compute_uv=False),
+                slope=A[0],
+                offset=b[0],
+                sigma=np.linalg.svd(A[0], compute_uv=False),
                 prior_mass=float(mass),
-                pinv=np.linalg.pinv(amap.slope, rcond=RANK_RTOL),
+                pinv=np.linalg.pinv(A[0], rcond=RANK_RTOL),
             )
         )
-    return RegionAtlas(
-        net=net, domain=domain, regions=tuple(regions), complete=complete,
-        resolution=resolution,
-    )
+    return RegionAtlas(net=net, domain=domain, regions=tuple(regions), complete=complete)
 
 
 def normalization_constant(atlas, rho):
@@ -164,7 +163,7 @@ def analytic_density(atlas, x, rho):
     tol = 1e-8 * (1.0 + np.linalg.norm(xs, axis=1))
     total = np.zeros(xs.shape[0])
     for region in atlas.regions:
-        A, b = region.affine.slope, region.affine.offset
+        A, b = region.slope, region.offset
         z_star = (xs - b) @ region.pinv.T
         ok = atlas.domain.contains(z_star)
         ok &= np.linalg.norm(z_star @ A.T + b - xs, axis=1) <= tol
@@ -173,16 +172,6 @@ def analytic_density(atlas, x, rho):
         total += np.where(ok, w, 0.0)
     total /= normalization_constant(atlas, rho)
     return float(total[0]) if x.ndim == 1 else total
-
-
-def mode_regions(atlas, rho):
-    """Regions ranked by polarity preference: modes first for rho < 0,
-    anti-modes first for rho > 0, atlas order for rho = 0.  Ties keep order."""
-    if rho == 0:
-        return list(atlas.regions)
-    lv = atlas.log_pseudo_dets()
-    order = np.argsort(lv if rho < 0 else -lv, kind="stable")
-    return [atlas.regions[i] for i in order]
 
 
 # --- Monte-Carlo histogram oracle --------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import cpa
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .metrics import (
     SampleSet, frechet_distance, nn_distances, nn_summary, path_length,
     precision_recall,
@@ -76,6 +76,8 @@ class ExperimentConfig:
             if not _has_type(value, kind):
                 what = "an integer" if kind is int else "a number"
                 raise ConfigError(f"config field {name!r} must be {what}, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"config field 'seed' must be non-negative, got {self.seed}")
         for name, kind in _GRID_FIELDS.items():
             grid = getattr(self, name)
             if grid is not None and not (
@@ -107,15 +109,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path):
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
-                ) from exc
+        doc = read_json(path, ConfigError)
         try:
             return ExperimentConfig(**doc)
         except TypeError as exc:

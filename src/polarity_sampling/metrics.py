@@ -1,8 +1,7 @@
 """Distributional metrics: Fréchet distance, k-NN precision/recall,
 nearest-neighbor distances, and interpolation path length."""
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -159,33 +158,8 @@ class DomainSampler:
         return self.domain.sample(n, np.random.default_rng(seed))
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    frechet: float
-    precision: float
-    recall: float
-    nn_summary: dict = None
-    ppl: dict = None
-    config: dict = field(default_factory=dict)
-
-    def to_json(self, path=None):
-        doc = {
-            "frechet": self.frechet,
-            "precision": self.precision,
-            "recall": self.recall,
-            "nn_summary": self.nn_summary,
-            "ppl": self.ppl,
-            "config": self.config,
-        }
-        text = json.dumps(doc, indent=1)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
-
-
-def nn_summary(distances, bins=20):
-    hist, edges = np.histogram(distances, bins=bins)
+def nn_summary(distances):
+    hist, edges = np.histogram(distances, bins=20)
     return {
         "mean": float(np.mean(distances)),
         "median": float(np.median(distances)),

@@ -10,13 +10,16 @@ rho > 0 on the anti-modes, rho = 0 reproduces the prior.
 import base64
 import json
 import math
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from . import cpa
-from .errors import ConfigError, InputError, SamplingTimeout, StateError, ValidationError
+from .errors import (
+    ConfigError, InputError, SamplingTimeout, StateError, ValidationError,
+    finite_array, read_json,
+)
 from .spectral import DEFAULT_EPS, batch_top_k_singular_values
 
 POOL_FORMAT_VERSION = 2
@@ -26,6 +29,8 @@ _POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
                 "z": str, "log_volumes": str, "codes": str}
 _POOL_COLUMNS = {"z": "<f8", "log_volumes": "<f8", "codes": "u1"}
 _STALL_LIMIT = 10_000_000
+_POOL_CHUNK = 8192     # latents scored per layer pass in build_pool
+_ONLINE_CHUNK = 4096   # candidates proposed per round in OnlineSampler.draw
 
 
 # --- latent domains ----------------------------------------------------------
@@ -35,9 +40,9 @@ _STALL_LIMIT = 10_000_000
 class LatentDomain:
     """Latent prior: a uniform box or an axis-aligned gaussian.
 
-    A gaussian domain may carry a truncation factor psi in (0, 1]; sampling
-    then rejects outside the centered box mean +- psi * 2 * std (the
-    truncation baseline's support).
+    A gaussian domain may carry a truncation factor psi in (0, 1]; its
+    support is then the centered box mean +- psi * 2 * std (the truncation
+    baseline's support), sampled exactly per axis by inverse CDF.
     """
 
     kind: str                      # "uniform_box" | "gaussian"
@@ -79,30 +84,24 @@ class LatentDomain:
             raise InputError("volume is defined for box domains only")
         return float(np.prod(self.hi - self.lo))
 
-    def contains(self, z, atol=0.0):
+    def contains(self, z):
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         if self.kind == "uniform_box":
-            return np.all((z >= self.lo - atol) & (z <= self.hi + atol), axis=1)
+            return np.all((z >= self.lo) & (z <= self.hi), axis=1)
         if self.psi is None:
             return np.ones(z.shape[0], dtype=bool)
         half = self.psi * 2.0 * self.std
-        return np.all(np.abs(z - self.mean) <= half + atol, axis=1)
+        return np.all(np.abs(z - self.mean) <= half, axis=1)
 
     def sample(self, n, rng):
         if self.kind == "uniform_box":
             return rng.uniform(self.lo, self.hi, size=(n, self.dim))
         if self.psi is None:
             return self.mean + self.std * rng.standard_normal((n, self.dim))
-        # truncated gaussian via rejection onto the psi-box
-        out = np.empty((n, self.dim))
-        filled = 0
-        while filled < n:
-            cand = self.mean + self.std * rng.standard_normal((max(n, 256), self.dim))
-            cand = cand[self.contains(cand)]
-            take = min(n - filled, cand.shape[0])
-            out[filled : filled + take] = cand[:take]
-            filled += take
-        return out
+        # the psi-box factorizes per axis: invert each axis's normal CDF
+        # between the two box edges
+        u = rng.uniform(ndtr(-2.0 * self.psi), ndtr(2.0 * self.psi), size=(n, self.dim))
+        return self.mean + self.std * ndtri(u)
 
     def truncate(self, psi):
         if self.kind != "gaussian":
@@ -132,13 +131,7 @@ class LatentDomain:
         for key in fields:
             if key not in d:
                 raise ConfigError(f"{kind} domain has no field {key!r}")
-            try:
-                value = np.asarray(d[key])
-            except ValueError as exc:
-                raise ConfigError(f"domain field {key!r}: {exc}") from exc
-            if value.dtype.kind not in "iuf" or not np.all(np.isfinite(value)):
-                raise ConfigError(f"domain field {key!r} must hold finite numbers")
-            spec[key] = value
+            spec[key] = finite_array(d[key], f"domain field {key!r}", ConfigError)
         psi = d.get("psi") if kind == "gaussian" else None
         if isinstance(psi, bool) or not isinstance(psi, (int, float, type(None))):
             raise ConfigError(f"domain field 'psi' must be a number, got {psi!r}")
@@ -220,15 +213,7 @@ class SamplePool:
 
     @staticmethod
     def load(path):
-        if not os.path.exists(path):
-            raise ConfigError(f"pool file not found: {path}")
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
-                ) from exc
+        doc = read_json(path, ValidationError)
         version = doc.get("version") if isinstance(doc, dict) else None
         if version != POOL_FORMAT_VERSION:
             raise ValidationError(
@@ -305,7 +290,7 @@ def region_log_volumes(net, zs, k, eps=DEFAULT_EPS):
 
 
 def build_pool(net, domain, n, k, seed, space="output", feature_net=None,
-               eps=DEFAULT_EPS, chunk=8192):
+               eps=DEFAULT_EPS):
     """Draw n latents i.i.d. from the domain and score each one's region.
 
     Deterministic given the seed; pool construction and later sampling use
@@ -331,8 +316,8 @@ def build_pool(net, domain, n, k, seed, space="output", feature_net=None,
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     zs, lvs, codes = [], [], []
-    for start in range(0, n, chunk):
-        z = domain.sample(min(chunk, n - start), rng)
+    for start in range(0, n, _POOL_CHUNK):
+        z = domain.sample(min(_POOL_CHUNK, n - start), rng)
         lv, bits = region_log_volumes(eff, z, k, eps)
         zs.append(z)
         lvs.append(lv)
@@ -371,11 +356,10 @@ class PolaritySampler:
 
     pool: SamplePool
     rho: float
-    weights: np.ndarray = None
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.weights is None:
-            object.__setattr__(self, "weights", polarity_weights(self.pool, self.rho))
+        object.__setattr__(self, "weights", polarity_weights(self.pool, self.rho))
 
     def draw(self, s, seed):
         return sample_batch(self, s, seed)
@@ -413,12 +397,12 @@ class OnlineSampler:
         self._proposed = 0
         self._accepted = 0
 
-    def draw(self, s, chunk=4096):
+    def draw(self, s):
         out = np.empty((s, self.pool.domain.dim))
         filled = 0
         rejections = 0
         while filled < s:
-            zs = self.pool.domain.sample(chunk, self.rng)
+            zs = self.pool.domain.sample(_ONLINE_CHUNK, self.rng)
             lw = self.rho * region_log_volumes(
                 self.net, zs, self.pool.k, self.pool.eps
             )[0]
@@ -429,14 +413,14 @@ class OnlineSampler:
                     f"{self.pool.n} pool latents (log-weight excess {excess:.3g}); "
                     f"build a larger pool"
                 )
-            accept = self.rng.uniform(size=chunk) < np.exp(lw - self._log_wmax)
+            accept = self.rng.uniform(size=_ONLINE_CHUNK) < np.exp(lw - self._log_wmax)
             took = zs[accept]
             take = min(s - filled, took.shape[0])
             out[filled : filled + take] = took[:take]
             filled += take
-            self._proposed += chunk
+            self._proposed += _ONLINE_CHUNK
             self._accepted += int(accept.sum())
-            rejections += int(chunk - accept.sum())
+            rejections += int(_ONLINE_CHUNK - accept.sum())
             if rejections >= _STALL_LIMIT and filled < s:
                 raise SamplingTimeout(
                     rejections, self._accepted / max(self._proposed, 1)

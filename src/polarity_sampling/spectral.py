@@ -24,14 +24,14 @@ def batch_top_k_singular_values(As, k):
     return np.linalg.svd(As, compute_uv=False)[:, :k]
 
 
-def pseudo_log_det_sqrt(sigma, rtol=RANK_RTOL):
+def pseudo_log_det_sqrt(sigma):
     """log of the product of nonzero singular values (pseudo-det to the 1/2).
 
-    Values below ``rtol * sigma_max`` are treated as exact zeros and skipped.
+    Values below ``RANK_RTOL * sigma_max`` are treated as exact zeros and skipped.
     Returns 0.0 for the all-zero matrix (empty product).
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.size == 0 or sigma.max() == 0.0:
         return 0.0
-    keep = sigma > rtol * sigma.max()
+    keep = sigma > RANK_RTOL * sigma.max()
     return float(np.sum(np.log(sigma[keep])))

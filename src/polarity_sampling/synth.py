@@ -1,10 +1,10 @@
 """Synthetic reference datasets for desk-scale experiments."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, finite_array
 
 
 @dataclass(frozen=True)
@@ -14,6 +14,8 @@ class SyntheticDataset:
     kinds:
       gaussian_mixture: params {weights, means, covs} (covs are per-component
           full matrices, or scalars for isotropic)
+
+    Any malformed spec raises ConfigError naming the field.
     """
 
     kind: str
@@ -22,34 +24,54 @@ class SyntheticDataset:
     seed: int
 
     def __post_init__(self):
-        if self.size < 1:
-            raise InputError("dataset size must be at least 1")
         if self.kind != "gaussian_mixture":
             raise ConfigError(f"unknown synthetic dataset kind {self.kind!r}")
-        w = np.asarray(self.params["weights"], dtype=np.float64)
-        if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
-            raise InputError("mixture weights must be nonnegative and sum to 1")
+        for key, least in (("size", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise ConfigError(f"dataset field {key!r} must be an integer >= "
+                                  f"{least}, got {value!r}")
+        self._mixture()
+
+    def _mixture(self):
+        """(weights, means, covariance matrices) of the spec."""
+        params = self.params
+        if not isinstance(params, dict):
+            raise ConfigError(f"dataset field 'params' must be an object: {params!r}")
+        for key in ("weights", "means", "covs"):
+            if key not in params:
+                raise ConfigError(f"dataset params have no field {key!r}")
+        w = finite_array(params["weights"], "dataset field 'weights'", ConfigError)
+        if w.ndim != 1 or abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
+            raise ConfigError("dataset field 'weights' must be nonnegative and sum to 1")
+        means = np.atleast_2d(
+            finite_array(params["means"], "dataset field 'means'", ConfigError))
+        if means.ndim != 2 or means.shape[0] != w.size:
+            raise ConfigError(f"dataset field 'means' must hold one row per weight "
+                              f"({w.size}), got shape {means.shape}")
+        covs, dim = params["covs"], means.shape[1]
+        if not isinstance(covs, (list, tuple, np.ndarray)) or len(covs) != w.size:
+            raise ConfigError(f"dataset field 'covs' must be a list of one "
+                              f"covariance per weight ({w.size})")
+        mats = []
+        for c, cov in enumerate(covs):
+            cov = finite_array(cov, f"dataset field 'covs' entry {c}", ConfigError)
+            if cov.shape not in ((), (dim, dim)):
+                raise ConfigError(f"dataset field 'covs' entry {c} is not a number "
+                                  f"or a {dim}x{dim} matrix")
+            mats.append(cov * np.eye(dim) if cov.ndim == 0 else cov)
+        return w, means, mats
 
     def sample(self):
+        weights, means, covs = self._mixture()
         rng = np.random.default_rng(self.seed)
-        weights = np.asarray(self.params["weights"], dtype=np.float64)
-        means = np.atleast_2d(np.asarray(self.params["means"], dtype=np.float64))
-        covs = self.params["covs"]
-        dim = means.shape[1]
         comp = rng.choice(len(weights), size=self.size, p=weights)
-        out = np.empty((self.size, dim))
-        for c in range(len(weights)):
+        out = np.empty((self.size, means.shape[1]))
+        for c, (mean, cov) in enumerate(zip(means, covs)):
             idx = comp == c
-            n_c = int(idx.sum())
-            if n_c == 0:
-                continue
-            cov = covs[c]
-            cov = (
-                float(cov) * np.eye(dim)
-                if np.ndim(cov) == 0
-                else np.asarray(cov, dtype=np.float64)
-            )
-            out[idx] = rng.multivariate_normal(means[c], cov, size=n_c)
+            if idx.any():
+                out[idx] = rng.multivariate_normal(mean, cov, size=int(idx.sum()))
         return out
 
     def to_dict(self):
@@ -62,8 +84,9 @@ class SyntheticDataset:
 
     @staticmethod
     def from_dict(d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"synthetic dataset spec must be an object: {d!r}")
         try:
-            return SyntheticDataset(d["kind"], d["params"], int(d["size"]),
-                                    int(d["seed"]))
-        except KeyError as exc:
-            raise ConfigError(f"synthetic dataset spec missing field {exc}") from exc
+            return SyntheticDataset(**d)
+        except TypeError as exc:
+            raise ConfigError(f"synthetic dataset spec: {exc}") from exc

@@ -133,6 +133,63 @@ def test_density_eval_golden_outputs(name, tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# Pinned report outputs at psi = 1 on the fixture configs: a change to a
+# report's JSON layout, to a reader, or to a pool or draw RNG stream moves
+# these bytes.
+REPORT_GOLDEN = {
+    "ablate": "a87166cc516ad4dda220c00dd0d23070bec061aae0b1fdebd5efaed25e6df262",
+    "metrics_out": "b80d5a6136139ff65ff2d88341ea9769303d80a94ff92b52f5fbd72844650184",
+    "metrics_stdout": "b80d5a6136139ff65ff2d88341ea9769303d80a94ff92b52f5fbd72844650184",
+    "modes": "0da9bd74ded5f3883813751cadfc8a06758d2c2ad5f0e105dfbe2f2ba2b627e8",
+    "pareto": "941143bc1359538e6203059e45c45f694f47452aec4a42f3a2343ee1b2e86e55",
+    "ppl": "6008aa11cd3cae3d5862f5899747b9158815dec7434275ebf50290771b02ce84",
+    "shift": "e15d53325287c3d3b2a8a6a0cdeaf7e8766d0427efc77745206fcf9dbf4f3480",
+}
+
+
+def _report_bytes(name, workdir, capsys):
+    """Run the report command ``name`` on the fixture configs; its output bytes."""
+    cfg, out = workdir / "report_cfg.json", workdir / "report.out"
+    if name in ("shift", "ppl"):
+        save_model(zoo.shift_generator(), workdir / "shift.json")
+        biased, uniform = zoo.shift_references(400, 3)
+        ExperimentConfig(
+            model_path=str(workdir / "shift.json"),
+            domain=zoo.shift_domain().to_dict(), seed=2, rho_grid=[0.0, 1.0],
+            n=2000, k=1, s=400, n_pairs=200, reference_biased=biased.to_dict(),
+            reference_uniform=uniform.to_dict(),
+        ).to_json(cfg)
+    else:
+        doc = json.loads((workdir / "cfg.json").read_text())
+        if name == "ablate":
+            doc.update(n_grid=[500, 2000], k_grid=[1])
+        cfg.write_text(json.dumps(doc))
+    if name.startswith("metrics"):
+        rng = np.random.default_rng(0)
+        gen, ref = workdir / "gen.csv", workdir / "ref.csv"
+        write_csv(gen, ["x0", "x1"], [tuple(map(float, r))
+                                      for r in rng.standard_normal((150, 2))])
+        write_csv(ref, ["x0", "x1"], [tuple(map(float, r))
+                                      for r in 1.5 + rng.standard_normal((120, 2))])
+        argv = ["metrics", "--generated", str(gen), "--reference", str(ref)]
+        if name == "metrics_out":
+            argv += ["--out", str(out)]
+    else:
+        argv = [name, "--config", str(cfg), "--out", str(out)]
+        if name == "modes":
+            argv += ["--rho", "-2.0"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    return stdout.encode() if name == "metrics_stdout" else out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+def test_report_golden_outputs(name, workdir, capsys):
+    digest = hashlib.sha256(_report_bytes(name, workdir, capsys)).hexdigest()
+    assert digest == REPORT_GOLDEN[name]
+
+
 def test_sample_refuses_mismatched_model(workdir, tmp_path, capsys):
     pool = workdir / "pool.json"
     main(["pool", "build", "--config", str(workdir / "cfg.json"),
@@ -340,6 +397,7 @@ MALFORMED_INPUTS = {
     "k_float": (*_config_edit(k=1.5), "'k'"),
     "s_bool": (*_config_edit(s=True), "'s'"),
     "seed_null": (*_config_edit(seed=None), "'seed'"),
+    "seed_negative": (*_config_edit(seed=-1), "'seed'"),
     "k_nn_string": (*_config_edit(k_nn="3"), "'k_nn'"),
     "j_float": (*_config_edit(j=3.0), "'j'"),
     "n_pairs_list": (*_config_edit(n_pairs=[10]), "'n_pairs'"),
@@ -387,6 +445,78 @@ def test_malformed_input_exits_2(case, tmp_path, capsys, recwarn):
     if names:
         assert names in err
     assert not recwarn.list, [str(w.message) for w in recwarn]
+
+
+# case -> (edit of the config's reference spec, text the error names)
+MALFORMED_REFERENCES = {
+    "spec_is_list": (lambda ref: [ref], "object"),
+    "params_is_list": (lambda ref: {**ref, "params": [1.0]}, "'params'"),
+    "params_missing_means": (lambda ref: {**ref, "params": {
+        k: v for k, v in ref["params"].items() if k != "means"}}, "'means'"),
+    "size_string": (lambda ref: {**ref, "size": "x"}, "'size'"),
+    "size_missing": (lambda ref: {k: v for k, v in ref.items() if k != "size"},
+                     "'size'"),
+    "seed_negative": (lambda ref: {**ref, "seed": -1}, "'seed'"),
+    "weights_outnumber_means": (lambda ref: {**ref, "params": {
+        **ref["params"], "means": [[-3.0]]}}, "'means'"),
+    "covs_short": (lambda ref: {**ref, "params": {
+        **ref["params"], "covs": [0.1]}}, "'covs'"),
+    "cov_wrong_shape": (lambda ref: {**ref, "params": {
+        **ref["params"], "covs": [0.1, [0.1, 0.2]]}}, "'covs'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REFERENCES))
+def test_malformed_reference_exits_2(case, workdir, capsys):
+    edit, names = MALFORMED_REFERENCES[case]
+    cfg = workdir / "cfg.json"
+    doc = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({**doc, "reference": edit(doc["reference"])}))
+    rc = main(["pareto", "--config", str(cfg), "--out", str(workdir / "p.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and names in err
+
+
+# case -> (argv over the fixture's files, text the error names)
+BAD_ARGUMENTS = {
+    "config_is_dir": ("pool build --config {dir} --out {dir}/p.json", "directory"),
+    "config_not_utf8": ("pool build --config {binary} --out {dir}/p.json", "utf-8"),
+    "pool_is_dir": ("sample --pool {dir} --model {model} --rho 0 --s 10 "
+                    "--out {dir}/x.csv", "directory"),
+    "model_is_dir": ("sample --pool {pool} --model {dir} --rho 0 --s 10 "
+                     "--out {dir}/x.csv", "directory"),
+    "out_is_dir": ("sample --pool {pool} --model {model} --rho 0 --s 10 "
+                   "--out {dir}", "directory"),
+    "generated_is_dir": ("metrics --generated {dir} --reference {points}", "directory"),
+    "points_is_dir": ("density eval --config {box_cfg} --rho 0 --points {dir} "
+                      "--out {dir}/d.csv", "directory"),
+    "pool_build_seed_negative": ("pool build --config {cfg} --seed -3 "
+                                 "--out {dir}/p.json", "--seed"),
+    "sample_seed_negative": ("sample --pool {pool} --model {model} --rho 0 --s 10 "
+                             "--seed -1 --out {dir}/x.csv", "--seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_argument_exits_2(case, workdir, capsys):
+    argv, names = BAD_ARGUMENTS[case]
+    paths = {"dir": workdir, "cfg": workdir / "cfg.json",
+             "model": workdir / "bimodal.json", "pool": workdir / "pool.json",
+             "points": workdir / "pts.csv", "box_cfg": workdir / "box_cfg.json",
+             "binary": workdir / "binary.json"}
+    main(["pool", "build", "--config", str(paths["cfg"]), "--out", str(paths["pool"])])
+    save_model(zoo.two_piece_net(), workdir / "tp.json")
+    ExperimentConfig(model_path=str(workdir / "tp.json"), seed=1, rho_grid=[0.0],
+                     domain=zoo.two_piece_domain().to_dict()).to_json(paths["box_cfg"])
+    paths["points"].write_text("x0\n-1.0\n0.25\n")
+    paths["binary"].write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    rc = main(argv.format(**paths).split())
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert names in err.lower()
 
 
 def test_sampling_timeout_exits_3(workdir, monkeypatch, capsys):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from polarity_sampling import (
-    CpaNetwork, InputError, Layer, ModelFormatError, ValidationError,
-    affine_map, affine_maps, compose, fingerprint, forward, identity_net,
+    CpaNetwork, InputError, Layer, ValidationError,
+    affine_maps, compose, fingerprint, forward, identity_net,
     load_model, region_codes, save_model,
 )
 from polarity_sampling import zoo
@@ -49,7 +49,7 @@ def test_forward_input_errors():
 
 
 def test_cpa_exactness_forward_equals_affine_map():
-    # random 2-layer relu net: forward(z) == A z + b with (A, b) from affine_map
+    # random 2-layer relu net: forward(z) == A z + b with (A, b) from affine_maps
     rng = np.random.default_rng(11)
     net = CpaNetwork(
         name="r2",
@@ -59,9 +59,9 @@ def test_cpa_exactness_forward_equals_affine_map():
         ),
     )
     for z in rng.uniform(-2, 2, size=(200, 3)):
-        am = affine_map(net, z)
+        A, b, _ = affine_maps(net, z)
         np.testing.assert_allclose(
-            forward(net, z), am.slope @ z + am.offset, rtol=1e-12, atol=1e-12
+            forward(net, z), A[0] @ z + b[0], rtol=1e-12, atol=1e-12
         )
 
 
@@ -85,27 +85,27 @@ def test_nearby_points_share_code_and_map():
         z2 = z + 1e-9 * rng.standard_normal(net.input_dim)
         codes = region_codes(net, np.stack([z, z2]))
         if np.array_equal(codes[0], codes[1]):
-            am = affine_map(net, z)
+            A, b, _ = affine_maps(net, z)
             for p in (z, z2):
                 np.testing.assert_allclose(
-                    forward(net, p), am.slope @ p + am.offset, rtol=1e-12, atol=1e-12
+                    forward(net, p), A[0] @ p + b[0], rtol=1e-12, atol=1e-12
                 )
             found += 1
     assert found > 0
 
 
 def test_affine_map_identity():
-    am = affine_map(identity_net(2), np.array([0.7, -0.3]))
-    np.testing.assert_array_equal(am.slope, np.eye(2))
-    np.testing.assert_array_equal(am.offset, np.zeros(2))
+    A, b, _ = affine_maps(identity_net(2), np.array([0.7, -0.3]))
+    np.testing.assert_array_equal(A[0], np.eye(2))
+    np.testing.assert_array_equal(b[0], np.zeros(2))
 
 
 def test_affine_map_two_piece_hand_values():
-    am = affine_map(zoo.two_piece_net(), np.array([1.0]))
-    np.testing.assert_allclose(am.slope, [[0.5]])
-    np.testing.assert_allclose(am.offset, [0.0], atol=1e-15)
-    am = affine_map(zoo.two_piece_net(), np.array([-1.0]))
-    np.testing.assert_allclose(am.slope, [[2.0]])
+    A, b, _ = affine_maps(zoo.two_piece_net(), np.array([1.0]))
+    np.testing.assert_allclose(A[0], [[0.5]])
+    np.testing.assert_allclose(b[0], [0.0], atol=1e-15)
+    A, b, _ = affine_maps(zoo.two_piece_net(), np.array([-1.0]))
+    np.testing.assert_allclose(A[0], [[2.0]])
 
 
 def finite_diff_jacobian(net, z, scale=1e-6):
@@ -126,7 +126,7 @@ def test_affine_map_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     for z in rng.uniform(-2, 2, size=(50, net.input_dim)):
         J = finite_diff_jacobian(net, z)
-        A = affine_map(net, z).slope
+        A = affine_maps(net, z)[0][0]
         assert np.linalg.norm(A - J) <= 1e-6 * max(np.linalg.norm(J), 1.0)
 
 
@@ -150,16 +150,16 @@ def test_compose_linear_chain_rule():
     w1 = np.array([[1.0, 2.0], [0.0, 1.0], [3.0, -1.0]])
     w2 = np.array([[1.0, -1.0, 0.5]])
     comp = compose(linear_net(w1), linear_net(w2))
-    am = affine_map(comp, np.array([0.3, 0.4]))
-    np.testing.assert_allclose(am.slope, w2 @ w1)
+    A, b, _ = affine_maps(comp, np.array([0.3, 0.4]))
+    np.testing.assert_allclose(A[0], w2 @ w1)
 
 
 def test_compose_one_d_pieces_hand_product():
     # pieces 2z then 3z on the positive orthant -> composed slope 6 at z=1
     f = CpaNetwork(name="f", layers=(Layer(np.array([[2.0]]), np.zeros(1), "relu"),))
     g = CpaNetwork(name="g", layers=(Layer(np.array([[3.0]]), np.zeros(1), "relu"),))
-    am = affine_map(compose(f, g), np.array([1.0]))
-    np.testing.assert_allclose(am.slope, [[6.0]])
+    A, b, _ = affine_maps(compose(f, g), np.array([1.0]))
+    np.testing.assert_allclose(A[0], [[6.0]])
 
 
 def test_compose_chain_rule_general():
@@ -172,8 +172,8 @@ def test_compose_chain_rule_general():
         # skip probes within 1e-9 of a boundary of either constituent
         if _near_boundary(f, z) or _near_boundary(g, forward(f, z)):
             continue
-        lhs = affine_map(comp, z).slope
-        rhs = affine_map(g, forward(f, z)).slope @ affine_map(f, z).slope
+        lhs = affine_maps(comp, z)[0][0]
+        rhs = affine_maps(g, forward(f, z))[0][0] @ affine_maps(f, z)[0][0]
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
         checked += 1
     assert checked > 10
@@ -245,7 +245,7 @@ def test_load_unsupported_activation(tmp_path):
 def test_load_malformed_json_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x", "layers": [')
-    with pytest.raises(ModelFormatError, match="line"):
+    with pytest.raises(ValidationError, match="line 1 column"):
         load_model(path)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from polarity_sampling import (
     CpaNetwork, InputError, LatentDomain, Layer, PolaritySampler, ScaleError,
     StateError, analytic_density, build_pool, enumerate_regions, identity_net,
-    mc_density, mode_regions, normalization_constant, region_codes, sample_batch,
+    mc_density, normalization_constant, region_codes, sample_batch,
     total_variation,
 )
 from polarity_sampling import zoo
@@ -96,7 +96,7 @@ def test_analytic_density_identity_net():
 def test_analytic_density_incomplete_atlas(two_piece_atlas):
     broken = RegionAtlas(
         net=two_piece_atlas.net, domain=two_piece_atlas.domain,
-        regions=two_piece_atlas.regions, complete=False, resolution=64,
+        regions=two_piece_atlas.regions, complete=False,
     )
     with pytest.raises(StateError):
         analytic_density(broken, [0.0], 0.0)
@@ -161,20 +161,6 @@ def test_normalization_non_injective(rho):
     mass = _quadrature_mass(atlas, rho, [0.0], [1.0], [2000])
     assert abs(mass - 1.0) <= 1e-3
     assert analytic_density(atlas, [0.5], 0.0) == pytest.approx(1.0)
-
-
-def test_mode_regions_ranking(two_piece_atlas):
-    modes = mode_regions(two_piece_atlas, -1.0)
-    assert modes[0].sigma[0] == pytest.approx(0.5)
-    anti = mode_regions(two_piece_atlas, 1.0)
-    assert anti[0].sigma[0] == pytest.approx(2.0)
-    assert mode_regions(two_piece_atlas, 0.0) == list(two_piece_atlas.regions)
-
-
-def test_mode_regions_stable_on_ties():
-    net = identity_net(1)
-    atlas = enumerate_regions(net, zoo.two_piece_domain(), 32)
-    assert mode_regions(atlas, -3.0) == list(atlas.regions)
 
 
 def test_mc_density_flat_for_identity():

@@ -200,6 +200,19 @@ def test_truncation_shrinking_support():
     assert np.all(np.abs(zs) <= 1.0)
 
 
+def test_truncation_exact_in_high_dimension():
+    # rejection onto the box would accept (0.68)^64 ~ 2.5e-11 of draws here
+    mean, std = np.linspace(-3.0, 3.0, 64), np.linspace(0.5, 2.0, 64)
+    dom = LatentDomain("gaussian", mean=mean, std=std).truncate(0.5)
+    u = (dom.sample(10_000, np.random.default_rng(3)) - mean) / std
+    assert np.all(np.abs(u) <= 1.0 + 1e-12)
+    # a standard normal truncated to [-1, 1]
+    var = 1.0 - 2.0 * stats.norm.pdf(1.0) / (2.0 * stats.norm.cdf(1.0) - 1.0)
+    assert np.all(np.abs(u.var(axis=0) / var - 1.0) < 0.05)
+    assert abs(u.var() / var - 1.0) < 0.005
+    assert stats.kstest(u.ravel(), stats.truncnorm(-1.0, 1.0).cdf).pvalue > 0.01
+
+
 def test_truncation_rejects_box_domain():
     with pytest.raises(InputError):
         zoo.two_piece_domain().truncate(0.5)

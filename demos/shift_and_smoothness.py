@@ -46,7 +46,7 @@ net = zoo.two_piece_net()
 pool = build_pool(net, zoo.two_piece_domain(), 50_000, k=1, seed=1)
 print("rho    mean path length (10k pairs)")
 for rho in (-20.0, 0.0, 20.0):
-    result = path_length(net, PolaritySampler(pool, rho), 1e-4, 10_000, seed=2)
-    print(f"{rho:+5.0f}  {result.mean:10.4f}")
+    scores = path_length(net, PolaritySampler(pool, rho), 1e-4, 10_000, seed=2)
+    print(f"{rho:+5.0f}  {scores.mean():10.4f}")
 print("\nmode-seeking rho lands endpoints in the low-slope region, so paths")
 print("between them are short: smoother interpolation for free.")

@@ -23,8 +23,7 @@ from .errors import (
 from .harness import ExperimentConfig, child_seed, run_ablation, run_modes, \
     run_pareto, run_ppl, run_shift, write_csv
 from .metrics import (
-    DomainSampler, PathLengthResult, SampleSet, frechet_distance, nn_distances,
-    path_length, precision_recall,
+    SampleSet, frechet_distance, nn_distances, path_length, precision_recall,
 )
 from .polarity import (
     LatentDomain, OnlineSampler, PolaritySampler, SamplePool, build_pool,

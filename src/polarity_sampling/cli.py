@@ -13,18 +13,28 @@ import numpy as np
 
 from . import cpa, density, harness, metrics
 from .errors import ConfigError, PolarityError, SamplingTimeout
-from .polarity import (
-    LatentDomain, PolaritySampler, SamplePool, build_pool, sample_batch,
-)
+from .polarity import PolaritySampler, SamplePool, build_pool, sample_batch
 
 
-def _add_common(parser):
-    parser.add_argument("--model", help="model file (JSON)")
-    parser.add_argument("--feature-model", help="feature-space model file")
-    parser.add_argument("--pool", help="pool file")
-    parser.add_argument("--config", help="experiment config file")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", help="output path")
+# every flag once, with the argparse keywords common to the commands that take it
+_FLAGS = {
+    "--config": dict(help="experiment config file (JSON)"),
+    "--model": dict(help="model file (JSON), in place of the config's model_path"),
+    "--feature-model": dict(help="feature-space model file, in place of the "
+                                 "config's feature_model_path"),
+    "--pool": dict(help="pool file written by `pool build`"),
+    "--seed": dict(type=int, help="default: the config seed (sample: the pool "
+                                  "seed + 1)"),
+    "--rho": dict(type=float, help="polarity (modes: default the config's first "
+                                   "rho_grid entry)"),
+    "--s": dict(type=int, help="number of draws"),
+    "--points": dict(help="CSV of query points"),
+    "--generated": dict(help="generated CSV"),
+    "--reference": dict(help="reference CSV"),
+    "--k-nn": dict(type=int, default=3),
+    "--j": dict(type=int, default=3),
+    "--out": dict(help="output path"),
+}
 
 
 def build_parser():
@@ -33,55 +43,44 @@ def build_parser():
         description="Polarity sampling for piecewise-affine generators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for name, descr in [("pool", "pool operations"), ("density", "density operations")]:
+        groups[name] = sub.add_parser(name, help=descr).add_subparsers(
+            dest=f"{name}_command", required=True)
 
-    pool = sub.add_parser("pool", help="pool operations")
-    pool_sub = pool.add_subparsers(dest="pool_command", required=True)
-    pool_build = pool_sub.add_parser("build", help="score N prior draws")
-    _add_common(pool_build)
-    pool_build.set_defaults(func=_cmd_pool_build)
-
-    # sweeps look their runner up at call time, so a patched harness is seen
-    for name, descr, func in [
-        ("sample", "draw latents from a pool under a polarity", _cmd_sample),
-        ("pareto", "precision/recall/Frechet sweep over (rho, psi)",
-         lambda args: _cmd_sweep(args, harness.run_pareto)),
-        ("ablate", "metrics across the (N, k) grid",
-         lambda args: _cmd_sweep(args, harness.run_ablation)),
-        ("modes", "report highest-weight latents", _cmd_modes),
-        ("shift", "Frechet distance to biased/uniform references across rho",
-         lambda args: _cmd_sweep(args, harness.run_shift)),
-        ("ppl", "path-length sweep over rho",
-         lambda args: _cmd_sweep(args, harness.run_ppl)),
-        ("metrics", "metric report for two sample files", _cmd_metrics),
-    ]:
-        p = sub.add_parser(name, help=descr)
-        _add_common(p)
+    # command -> (help, handler, required flags, optional flags); sweeps look
+    # their runner up at call time, so a patched harness is seen
+    sweep = (("--config", "--out"), ("--model", "--feature-model", "--seed"))
+    commands = {
+        "pool build": ("score N prior draws", _cmd_pool_build, *sweep),
+        "sample": ("draw latents from a pool under a polarity", _cmd_sample,
+                   ("--pool", "--model", "--rho", "--s", "--out"), ("--seed",)),
+        "density eval": ("analytic density at query points", _cmd_density_eval,
+                         ("--config", "--rho", "--points", "--out"),
+                         ("--model", "--seed")),
+        "pareto": ("precision/recall/Frechet sweep over (rho, psi)",
+                   lambda args: _cmd_sweep(args, harness.run_pareto), *sweep),
+        "ablate": ("metrics across the (N, k) grid",
+                   lambda args: _cmd_sweep(args, harness.run_ablation), *sweep),
+        "modes": ("report highest-weight latents", _cmd_modes,
+                  sweep[0], sweep[1] + ("--rho",)),
+        "shift": ("Frechet distance to biased/uniform references across rho",
+                  lambda args: _cmd_sweep(args, harness.run_shift), *sweep),
+        "ppl": ("path-length sweep over rho",
+                lambda args: _cmd_sweep(args, harness.run_ppl), *sweep),
+        "metrics": ("metric report for two sample files", _cmd_metrics,
+                    ("--generated", "--reference"), ("--k-nn", "--j", "--out")),
+    }
+    for name, (descr, func, required, optional) in commands.items():
+        *group, leaf = name.split()
+        p = (groups[group[0]] if group else sub).add_parser(leaf, help=descr)
+        for flag in required + optional:
+            p.add_argument(flag, required=flag in required, **_FLAGS[flag])
         p.set_defaults(func=func)
-        if name == "sample":
-            p.add_argument("--rho", type=float, required=True)
-            p.add_argument("--s", type=int, required=True)
-        if name == "modes":
-            p.add_argument("--rho", type=float, help="override rho for the report")
-        if name == "metrics":
-            p.add_argument("--generated", required=True, help="generated CSV")
-            p.add_argument("--reference", required=True, help="reference CSV")
-            p.add_argument("--k-nn", type=int, default=3)
-            p.add_argument("--j", type=int, default=3)
-
-    dens = sub.add_parser("density", help="density operations")
-    dens_sub = dens.add_subparsers(dest="density_command", required=True)
-    dens_eval = dens_sub.add_parser("eval", help="analytic density at query points")
-    _add_common(dens_eval)
-    dens_eval.set_defaults(func=_cmd_density_eval)
-    dens_eval.add_argument("--rho", type=float, required=True)
-    dens_eval.add_argument("--points", required=True, help="CSV of query points")
-
     return parser
 
 
 def _load_config(args):
-    if not args.config:
-        raise ConfigError("this command needs --config")
     config = harness.ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         config.seed = args.seed
@@ -90,12 +89,6 @@ def _load_config(args):
     if getattr(args, "feature_model", None):
         config.feature_model_path = args.feature_model
     return config
-
-
-def _require(value, flag):
-    if not value:
-        raise ConfigError(f"this command needs {flag}")
-    return value
 
 
 def _parses_as_float(field):
@@ -135,25 +128,24 @@ def _write_points(path, pts):
 
 def _cmd_pool_build(args):
     config = _load_config(args)
-    out = _require(args.out, "--out")
     net = config.load_net()
     pool = build_pool(
         net, config.load_domain(), config.n, config.k, config.seed,
         space=config.space, feature_net=config.load_feature_net(),
         eps=config.eps,
     )
-    pool.save(out)
+    pool.save(args.out)
     print(f"pool: {pool.n} records, {pool.distinct_code_count()} distinct regions "
-          f"-> {out}")
+          f"-> {args.out}")
 
 
 def _cmd_sample(args):
-    pool = SamplePool.load(_require(args.pool, "--pool"))
-    net = cpa.load_model(_require(args.model, "--model"))
+    pool = SamplePool.load(args.pool)
+    net = cpa.load_model(args.model)
     pool.check_fingerprint(net)
     seed = args.seed if args.seed is not None else pool.seed + 1
     zs = sample_batch(PolaritySampler(pool, args.rho), args.s, seed)
-    _write_points(_require(args.out, "--out"), zs)
+    _write_points(args.out, zs)
     print(f"{args.s} draws at rho={args.rho} -> {args.out}")
 
 
@@ -167,25 +159,24 @@ def _cmd_density_eval(args):
     dens = density.analytic_density(atlas, pts, args.rho)
     rows = [tuple(float(v) for v in x) + (d,) for x, d in zip(pts, dens)]
     header = [f"x{d}" for d in range(pts.shape[1])] + ["density"]
-    harness.write_csv(_require(args.out, "--out"), header, rows)
+    harness.write_csv(args.out, header, rows)
     print(f"density at {len(rows)} points (rho={args.rho}) -> {args.out}")
 
 
 def _cmd_sweep(args, runner):
     config = _load_config(args)
     header, rows = runner(config)
-    harness.write_csv(_require(args.out, "--out"), header, rows)
+    harness.write_csv(args.out, header, rows)
     print(f"{len(rows)} rows -> {args.out}")
 
 
 def _cmd_modes(args):
     config = _load_config(args)
     report = harness.run_modes(config, rho_extreme=args.rho)
-    out = _require(args.out, "--out")
-    with open(out, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    print(f"mode report (rho={report['rho']}) -> {out}")
+    print(f"mode report (rho={report['rho']}) -> {args.out}")
 
 
 def _cmd_metrics(args):
@@ -213,8 +204,9 @@ def _cmd_metrics(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {seed}")
         args.func(args)
     except (SamplingTimeout, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

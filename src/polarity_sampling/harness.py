@@ -38,6 +38,7 @@ _NUMBER_FIELDS = {
                      "resolution"), int),
     "eps": (int, float), "epsilon": (int, float),
 }
+_COUNT_FIELDS = ("n", "k", "s", "k_nn", "j", "n_pairs", "m_top")
 _GRID_FIELDS = {"rho_grid": (int, float), "psi_grid": (int, float),
                 "n_grid": int, "k_grid": int}
 
@@ -90,14 +91,10 @@ class ExperimentConfig:
             raise ConfigError("rho grid must be nonempty")
         if not self.psi_grid:
             raise ConfigError("psi grid must be nonempty")
-        if self.s < 1:
-            raise ConfigError("sample count S must be at least 1")
-        if not os.path.exists(self.model_path):
-            raise ConfigError(f"model file not found: {self.model_path}")
-        if self.feature_model_path and not os.path.exists(self.feature_model_path):
-            raise ConfigError(
-                f"feature model file not found: {self.feature_model_path}"
-            )
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"config field {name!r} must be at least 1, got {value}")
 
     def to_json(self, path=None):
         doc = {k: v for k, v in asdict(self).items() if v is not None}
@@ -269,10 +266,11 @@ def run_ppl(config):
                      child_seed(config.seed, "pool", 0))
     rows = []
     for i_rho, rho in enumerate(config.rho_grid):
-        res = path_length(
+        scores = path_length(
             net, PolaritySampler(pool, rho), config.epsilon, config.n_pairs,
             child_seed(config.seed, "ppl", i_rho), feature_net=feature_net,
         )
-        rows.append((float(rho), res.mean, res.quantiles[0.1],
-                     res.quantiles[0.5], res.quantiles[0.9], config.seed))
+        rows.append((float(rho), float(scores.mean()),
+                     *(float(np.quantile(scores, q)) for q in (0.1, 0.5, 0.9)),
+                     config.seed))
     return ["rho", "mean_ppl", "q10", "q50", "q90", "seed"], rows

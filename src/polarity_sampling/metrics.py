@@ -98,6 +98,8 @@ def precision_recall(real, fake, k_nn=3):
     """
     if real.dim != fake.dim:
         raise InputError(f"dimension mismatch: {real.dim} vs {fake.dim}")
+    if k_nn < 1:
+        raise InputError(f"k_nn must be at least 1, got {k_nn}")
     if k_nn >= min(len(real), len(fake)):
         raise InputError(f"k_nn={k_nn} must be smaller than both set sizes")
     precision = _covered_fraction(fake.points, *_manifold(real.points, k_nn))
@@ -109,24 +111,20 @@ def nn_distances(generated, training, j=3):
     """Per generated point, mean Euclidean distance to its j nearest training points."""
     if generated.dim != training.dim:
         raise InputError(f"dimension mismatch: {generated.dim} vs {training.dim}")
+    if j < 1:
+        raise InputError(f"j must be at least 1, got {j}")
     if j > len(training):
         raise InputError(f"j={j} exceeds training set size {len(training)}")
     d = np.sort(cdist(generated.points, training.points), axis=1)
     return d[:, :j].mean(axis=1)
 
 
-@dataclass(frozen=True)
-class PathLengthResult:
-    scores: np.ndarray
-    mean: float
-    quantiles: dict
-
-
 def path_length(net, sampler, epsilon, n_pairs, seed, feature_net=None):
-    """Squared feature displacement per unit interpolation step.
+    """Per-pair squared feature displacement per unit interpolation step.
 
     Endpoint pairs come from ``sampler.draw``; for each pair and t ~ U[0,1]
-    the score is ||F(G(lerp(t))) - F(G(lerp(t+eps)))||^2 / eps^2.
+    the score is ||F(G(lerp(t))) - F(G(lerp(t+eps)))||^2 / eps^2.  Returns
+    the (n_pairs,) score array.
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
@@ -143,19 +141,7 @@ def path_length(net, sampler, epsilon, n_pairs, seed, feature_net=None):
     if feature_net is not None:
         x0 = cpa.forward(feature_net, x0)
         x1 = cpa.forward(feature_net, x1)
-    scores = np.sum((np.atleast_2d(x1) - np.atleast_2d(x0)) ** 2, axis=1) / epsilon**2
-    qs = {q: float(np.quantile(scores, q)) for q in (0.1, 0.5, 0.9)}
-    return PathLengthResult(scores=scores, mean=float(scores.mean()), quantiles=qs)
-
-
-class DomainSampler:
-    """Adapter giving a LatentDomain the same draw(n, seed) surface as samplers."""
-
-    def __init__(self, domain):
-        self.domain = domain
-
-    def draw(self, n, seed):
-        return self.domain.sample(n, np.random.default_rng(seed))
+    return np.sum((np.atleast_2d(x1) - np.atleast_2d(x0)) ** 2, axis=1) / epsilon**2
 
 
 def nn_summary(distances):

@@ -6,6 +6,10 @@ import numpy as np
 
 from .errors import ConfigError, finite_array
 
+# tolerance of the covariance checks; numpy's multivariate_normal warns past
+# the same 1e-8
+_PSD_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SyntheticDataset:
@@ -60,7 +64,14 @@ class SyntheticDataset:
             if cov.shape not in ((), (dim, dim)):
                 raise ConfigError(f"dataset field 'covs' entry {c} is not a number "
                                   f"or a {dim}x{dim} matrix")
-            mats.append(cov * np.eye(dim) if cov.ndim == 0 else cov)
+            mat = cov * np.eye(dim) if cov.ndim == 0 else cov
+            if not np.allclose(mat, mat.T, rtol=_PSD_TOL, atol=_PSD_TOL):
+                raise ConfigError(f"dataset field 'covs' entry {c} is not symmetric")
+            eig = np.linalg.eigvalsh(mat)
+            if eig[0] < -_PSD_TOL * max(eig[-1], 0.0):
+                raise ConfigError(f"dataset field 'covs' entry {c} is not positive "
+                                  f"semidefinite (eigenvalue {eig[0]:.3g})")
+            mats.append(mat)
         return w, means, mats
 
     def sample(self):

@@ -218,9 +218,9 @@ def test_criterion_10_path_length_near_modes(capsys):
     net = zoo.two_piece_net()
     pool = build_pool(net, zoo.two_piece_domain(), 50_000, 1, seed=101)
     low = path_length(net, PolaritySampler(pool, -20.0), 1e-4, 10_000,
-                      seed=102).mean
+                      seed=102).mean()
     high = path_length(net, PolaritySampler(pool, 20.0), 1e-4, 10_000,
-                       seed=102).mean
+                       seed=102).mean()
     ratio = high / low
     _report(capsys, "10 mean path length >= 10x smaller at rho=-20 vs +20",
             ratio >= 10.0, f"ratio {ratio:.1f}")

@@ -276,8 +276,50 @@ def test_metrics_subcommand(tmp_path, capsys):
 
 
 def test_missing_config_exits_2(capsys):
-    assert main(["pareto", "--out", "x.csv"]) == 2
-    assert "needs --config" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["pareto", "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+# argv each command accepts; with one more flag that the command does not read,
+# argparse exits before any file is read
+VALID_ARGV = {
+    "pool build": "pool build --config c.json --out p.json",
+    "sample": "sample --pool p.json --model m.json --rho 0 --s 1 --out x.csv",
+    "density eval": "density eval --config c.json --rho 0 --points x.csv --out d.csv",
+    **{name: f"{name} --config c.json --out o" for name in
+       ("pareto", "ablate", "modes", "shift", "ppl")},
+    "metrics": "metrics --generated g.csv --reference r.csv",
+}
+REJECTED_FLAGS = [
+    *((name, "--pool") for name in
+      ("pool build", "pareto", "ablate", "shift", "ppl", "modes")),
+    ("sample", "--config"), ("sample", "--feature-model"),
+    ("density eval", "--pool"), ("density eval", "--feature-model"),
+    *(("metrics", flag) for flag in
+      ("--seed", "--model", "--config", "--pool", "--feature-model")),
+]
+
+
+@pytest.mark.parametrize("command,flag", REJECTED_FLAGS)
+def test_flag_the_command_does_not_read_exits_2(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(VALID_ARGV[command].split() + [flag, "3"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_model_flag_replaces_missing_config_model(workdir):
+    doc = json.loads((workdir / "cfg.json").read_text())
+    gone_cfg = workdir / "gone_cfg.json"
+    gone_cfg.write_text(json.dumps({**doc, "model_path": str(workdir / "gone.json")}))
+    direct, replaced = workdir / "direct.json", workdir / "replaced.json"
+    assert main(["pool", "build", "--config", str(workdir / "cfg.json"),
+                 "--out", str(direct)]) == 0
+    assert main(["pool", "build", "--config", str(gone_cfg),
+                 "--model", doc["model_path"], "--out", str(replaced)]) == 0
+    assert direct.read_bytes() == replaced.read_bytes()
 
 
 def test_malformed_model_exits_2(workdir, tmp_path, capsys):
@@ -410,6 +452,15 @@ MALFORMED_INPUTS = {
     "psi_grid_bool_entry": (*_config_edit(psi_grid=[True]), "'psi_grid'"),
     "n_grid_float_entry": (*_config_edit(n_grid=[100.5]), "'n_grid'"),
     "k_grid_string": (*_config_edit(k_grid="1"), "'k_grid'"),
+    "n_zero": (*_config_edit(n=0), "'n'"),
+    "k_zero": (*_config_edit(k=0), "'k'"),
+    "s_zero": (*_config_edit(s=0), "'s'"),
+    "k_nn_zero": (*_config_edit(k_nn=0), "'k_nn'"),
+    "j_negative": (*_config_edit(j=-1), "'j'"),
+    "n_pairs_zero": (*_config_edit(n_pairs=0), "'n_pairs'"),
+    "m_top_negative": (*_config_edit(m_top=-1), "'m_top'"),
+    "model_missing": ("config", lambda doc: {
+        **doc, "model_path": doc["model_path"] + ".missing"}, "cannot read"),
     "input_dim_string": (*_model_edit(input_dim="abc"), "input_dim"),
     "bias_non_numeric": (*_model_edit(layer={"bias": ["x", 0.0]}), "bias"),
     "alpha_non_numeric": (*_model_edit(layer={"activation": "leaky_relu",
@@ -463,11 +514,19 @@ MALFORMED_REFERENCES = {
         **ref["params"], "covs": [0.1]}}, "'covs'"),
     "cov_wrong_shape": (lambda ref: {**ref, "params": {
         **ref["params"], "covs": [0.1, [0.1, 0.2]]}}, "'covs'"),
+    "cov_negative": (lambda ref: {**ref, "params": {
+        **ref["params"], "covs": [-1.0, 0.01]}}, "'covs' entry 0"),
+    "cov_asymmetric": (lambda ref: {**ref, "params": {
+        **ref["params"], "means": [[-3.0, 0.0], [1.0, 0.0]],
+        "covs": [0.01, [[1.0, 0.5], [0.0, 1.0]]]}}, "'covs' entry 1"),
+    "cov_not_psd": (lambda ref: {**ref, "params": {
+        **ref["params"], "means": [[-3.0, 0.0], [1.0, 0.0]],
+        "covs": [[[1.0, 2.0], [2.0, 1.0]], 0.01]}}, "'covs' entry 0"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_REFERENCES))
-def test_malformed_reference_exits_2(case, workdir, capsys):
+def test_malformed_reference_exits_2(case, workdir, capsys, recwarn):
     edit, names = MALFORMED_REFERENCES[case]
     cfg = workdir / "cfg.json"
     doc = json.loads(cfg.read_text())
@@ -476,6 +535,7 @@ def test_malformed_reference_exits_2(case, workdir, capsys):
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err.startswith("error: ") and names in err
+    assert not recwarn.list, [str(w.message) for w in recwarn]
 
 
 # case -> (argv over the fixture's files, text the error names)
@@ -495,6 +555,12 @@ BAD_ARGUMENTS = {
                                  "--out {dir}/p.json", "--seed"),
     "sample_seed_negative": ("sample --pool {pool} --model {model} --rho 0 --s 10 "
                              "--seed -1 --out {dir}/x.csv", "--seed"),
+    "metrics_k_nn_zero": ("metrics --generated {points} --reference {points} "
+                          "--k-nn 0", "k_nn"),
+    "metrics_j_zero": ("metrics --generated {points} --reference {points} "
+                       "--k-nn 1 --j 0", "j must be"),
+    "metrics_j_negative": ("metrics --generated {points} --reference {points} "
+                           "--k-nn 1 --j -1", "j must be"),
 }
 
 

@@ -60,13 +60,10 @@ def test_config_round_trip(tmp_path, bimodal_config):
     assert loaded == bimodal_config
 
 
-def test_config_validation(tmp_path, bimodal_config):
+def test_config_validation(bimodal_config):
     with pytest.raises(ConfigError):
         ExperimentConfig(model_path=bimodal_config.model_path,
                          domain=bimodal_config.domain, seed=0, rho_grid=[])
-    with pytest.raises(ConfigError):
-        ExperimentConfig(model_path=str(tmp_path / "missing.json"),
-                         domain=bimodal_config.domain, seed=0, rho_grid=[0.0])
 
 
 def test_pareto_single_region_constant(linear_config):

@@ -154,6 +154,8 @@ def analytic_density(atlas, x, rho):
     """
     if not atlas.complete:
         raise StateError("atlas is incomplete; rebuild at higher resolution")
+    if not np.isfinite(rho):
+        raise InputError("rho must be finite")
     x = np.asarray(x, dtype=np.float64)
     xs = x[None, :] if x.ndim == 1 else x
     if xs.ndim != 2 or xs.shape[1] != atlas.net.output_dim:

@@ -1,7 +1,7 @@
 """Distributional metrics: Fréchet distance, k-NN precision/recall,
 nearest-neighbor distances, and interpolation path length."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -10,19 +10,35 @@ from . import cpa
 from .errors import InputError
 
 
+# Distance matrices are computed in row blocks of at most this many bytes.
+# A whole U×U matrix (~30 MB at U=2,000) stays resident after it is freed,
+# as glibc keeps a freed heap top below its trim threshold, and that memory
+# then adds to the peak of the next pool build.
+_BLOCK_BYTES = 1 << 22
+
+
+def _row_blocks(n_rows, n_cols):
+    step = max(1, _BLOCK_BYTES // (8 * n_cols))
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
 @dataclass(frozen=True)
 class SampleSet:
+    """A read-only (N, D) point set; its k-NN manifolds are cached per k."""
+
     points: np.ndarray
     label: str = ""
+    _manifolds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise InputError("sample set must be a nonempty 2-D array")
         if not np.all(np.isfinite(pts)):
             raise InputError("sample set contains non-finite entries")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
@@ -31,6 +47,28 @@ class SampleSet:
 
     def __len__(self):
         return self.points.shape[0]
+
+    def manifold(self, k):
+        """k-NN manifold estimate: distinct points, their counts, and radii.
+
+        Each distinct point's radius is the distance to its k-th nearest
+        other distinct point (duplicates are self-matches), so replicating
+        samples leaves the manifold unchanged.
+        """
+        if k not in self._manifolds:
+            support, counts = np.unique(self.points, axis=0, return_counts=True)
+            kk = min(k, support.shape[0] - 1)
+            radii = np.zeros(support.shape[0])
+            if kk >= 1:
+                for rows in _row_blocks(support.shape[0], support.shape[0]):
+                    d = cdist(support[rows], support)
+                    np.fill_diagonal(d[:, rows], np.inf)
+                    d.partition(kk - 1, axis=1)
+                    radii[rows] = d[:, kk - 1]
+            for a in (support, counts, radii):
+                a.flags.writeable = False
+            self._manifolds[k] = support, counts, radii
+        return self._manifolds[k]
 
 
 def _mean_cov(points, reg=1e-10):
@@ -69,32 +107,13 @@ def frechet_distance(a, b):
     return max(d, 0.0)
 
 
-def _manifold(points, k):
-    """k-NN manifold estimate: support points and per-point ball radii.
-
-    The estimate is built on deduplicated points (duplicates are
-    self-matches), so replicating samples leaves the manifold unchanged.
-    """
-    support = np.unique(points, axis=0)
-    d = cdist(support, support)
-    np.fill_diagonal(d, np.inf)
-    kk = min(k, support.shape[0] - 1)
-    if kk < 1:
-        return support, np.zeros(support.shape[0])
-    return support, np.partition(d, kk - 1, axis=1)[:, kk - 1]
-
-
-def _covered_fraction(queries, support, radii):
-    """Fraction of query points within some support point's k-NN ball."""
-    d = cdist(queries, support)
-    return float(np.mean(np.any(d <= radii[None, :], axis=1)))
-
-
 def precision_recall(real, fake, k_nn=3):
     """k-NN manifold precision/recall (Kynkäänniemi-style).
 
     Precision: fraction of fake points inside the real manifold estimate;
-    recall: fraction of real points inside the fake manifold estimate.
+    recall: fraction of real points inside the fake manifold estimate.  One
+    distance matrix between the two sets' distinct points serves both
+    directions, and each point counts with its multiplicity.
     """
     if real.dim != fake.dim:
         raise InputError(f"dimension mismatch: {real.dim} vs {fake.dim}")
@@ -102,9 +121,17 @@ def precision_recall(real, fake, k_nn=3):
         raise InputError(f"k_nn must be at least 1, got {k_nn}")
     if k_nn >= min(len(real), len(fake)):
         raise InputError(f"k_nn={k_nn} must be smaller than both set sizes")
-    precision = _covered_fraction(fake.points, *_manifold(real.points, k_nn))
-    recall = _covered_fraction(real.points, *_manifold(fake.points, k_nn))
-    return precision, recall
+    real_support, real_counts, real_radii = real.manifold(k_nn)
+    fake_support, fake_counts, fake_radii = fake.manifold(k_nn)
+    fake_covered = np.zeros(fake_support.shape[0], dtype=bool)
+    real_covered = np.zeros(real_support.shape[0], dtype=bool)
+    for rows in _row_blocks(fake_support.shape[0], real_support.shape[0]):
+        d = cdist(fake_support[rows], real_support)
+        fake_covered[rows] = np.any(d <= real_radii[None, :], axis=1)
+        real_covered |= np.any(d <= fake_radii[rows, None], axis=0)
+    precision = fake_counts[fake_covered].sum() / len(fake)
+    recall = real_counts[real_covered].sum() / len(real)
+    return float(precision), float(recall)
 
 
 def nn_distances(generated, training, j=3):
@@ -115,8 +142,8 @@ def nn_distances(generated, training, j=3):
         raise InputError(f"j must be at least 1, got {j}")
     if j > len(training):
         raise InputError(f"j={j} exceeds training set size {len(training)}")
-    d = np.sort(cdist(generated.points, training.points), axis=1)
-    return d[:, :j].mean(axis=1)
+    nearest = np.partition(cdist(generated.points, training.points), j - 1, axis=1)[:, :j]
+    return np.sort(nearest, axis=1).mean(axis=1)
 
 
 def path_length(net, sampler, epsilon, n_pairs, seed, feature_net=None):

@@ -140,6 +140,7 @@ REPORT_GOLDEN = {
     "ablate": "a87166cc516ad4dda220c00dd0d23070bec061aae0b1fdebd5efaed25e6df262",
     "metrics_out": "b80d5a6136139ff65ff2d88341ea9769303d80a94ff92b52f5fbd72844650184",
     "metrics_stdout": "b80d5a6136139ff65ff2d88341ea9769303d80a94ff92b52f5fbd72844650184",
+    "metrics_ties": "f7fc1f204440c5a25fc81c535ae31814565cc8e0c6eb783860e11c85bef3bb34",
     "modes": "0da9bd74ded5f3883813751cadfc8a06758d2c2ad5f0e105dfbe2f2ba2b627e8",
     "pareto": "941143bc1359538e6203059e45c45f694f47452aec4a42f3a2343ee1b2e86e55",
     "ppl": "6008aa11cd3cae3d5862f5899747b9158815dec7434275ebf50290771b02ce84",
@@ -167,12 +168,17 @@ def _report_bytes(name, workdir, capsys):
     if name.startswith("metrics"):
         rng = np.random.default_rng(0)
         gen, ref = workdir / "gen.csv", workdir / "ref.csv"
-        write_csv(gen, ["x0", "x1"], [tuple(map(float, r))
-                                      for r in rng.standard_normal((150, 2))])
-        write_csv(ref, ["x0", "x1"], [tuple(map(float, r))
-                                      for r in 1.5 + rng.standard_normal((120, 2))])
+        if name == "metrics_ties":
+            # integer grids: repeated rows and exact distance ties
+            gen_pts, ref_pts = rng.integers(0, 4, (150, 2)), rng.integers(2, 6, (120, 2))
+        else:
+            gen_pts, ref_pts = rng.standard_normal((150, 2)), 1.5 + rng.standard_normal((120, 2))
+        write_csv(gen, ["x0", "x1"], [tuple(map(float, r)) for r in gen_pts])
+        write_csv(ref, ["x0", "x1"], [tuple(map(float, r)) for r in ref_pts])
         argv = ["metrics", "--generated", str(gen), "--reference", str(ref)]
-        if name == "metrics_out":
+        if name == "metrics_ties":
+            argv += ["--k-nn", "3", "--j", "4"]
+        if name != "metrics_stdout":
             argv += ["--out", str(out)]
     else:
         argv = [name, "--config", str(cfg), "--out", str(out)]
@@ -551,6 +557,10 @@ BAD_ARGUMENTS = {
     "generated_is_dir": ("metrics --generated {dir} --reference {points}", "directory"),
     "points_is_dir": ("density eval --config {box_cfg} --rho 0 --points {dir} "
                       "--out {dir}/d.csv", "directory"),
+    "density_rho_nan": ("density eval --config {box_cfg} --rho nan --points {points} "
+                        "--out {dir}/d.csv", "rho must be finite"),
+    "density_rho_inf": ("density eval --config {box_cfg} --rho inf --points {points} "
+                        "--out {dir}/d.csv", "rho must be finite"),
     "pool_build_seed_negative": ("pool build --config {cfg} --seed -3 "
                                  "--out {dir}/p.json", "--seed"),
     "sample_seed_negative": ("sample --pool {pool} --model {model} --rho 0 --s 10 "

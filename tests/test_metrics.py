@@ -1,12 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from polarity_sampling import (
     CpaNetwork, InputError, LatentDomain, Layer,
     PolaritySampler, SampleSet, build_pool, frechet_distance, identity_net,
     nn_distances, path_length, precision_recall,
 )
-from polarity_sampling import zoo
+from polarity_sampling import metrics, zoo
 
 
 def test_frechet_identical_sets_zero():
@@ -98,6 +103,103 @@ def test_recall_monotone_under_fake_duplication():
     dup = np.vstack([fake_pts, fake_pts[:100]])
     _, r2 = precision_recall(real, SampleSet(dup), k_nn=3)
     assert r2 >= r1 - 1e-12
+
+
+# Reference precision/recall: whole matrices, one cdist per direction, every
+# query row scored.  precision_recall must match it bit for bit.
+def _oracle_manifold(points, k):
+    support = np.unique(points, axis=0)
+    d = cdist(support, support)
+    np.fill_diagonal(d, np.inf)
+    kk = min(k, support.shape[0] - 1)
+    if kk < 1:
+        return support, np.zeros(support.shape[0])
+    return support, np.partition(d, kk - 1, axis=1)[:, kk - 1]
+
+
+def _oracle_covered_fraction(queries, support, radii):
+    d = cdist(queries, support)
+    return float(np.mean(np.any(d <= radii[None, :], axis=1)))
+
+
+def _oracle_precision_recall(real, fake, k_nn):
+    precision = _oracle_covered_fraction(fake, *_oracle_manifold(real, k_nn))
+    recall = _oracle_covered_fraction(real, *_oracle_manifold(fake, k_nn))
+    return precision, recall
+
+
+def _grid(data, min_rows, max_rows, dim):
+    """Points on a small integer grid (width 0 gives a single distinct
+    point): repeated rows and exact distance ties."""
+    width = data.draw(st.integers(0, 3))
+    rows = data.draw(st.integers(min_rows, max_rows))
+    return data.draw(arrays(np.int8, (rows, dim), elements=st.integers(0, width))).astype(float)
+
+
+# block budgets of one row, a few rows, and the whole matrix at these sizes
+BLOCK_BYTES = st.sampled_from([1, 100, metrics._BLOCK_BYTES])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), BLOCK_BYTES, st.data())
+def test_precision_recall_matches_full_matrix_oracle(dim, block_bytes, data):
+    real, fake = _grid(data, 2, 40, dim), _grid(data, 2, 40, dim)
+    k_nn = data.draw(st.integers(1, min(len(real), len(fake)) - 1))
+    with mock.patch.object(metrics, "_BLOCK_BYTES", block_bytes):
+        got = precision_recall(SampleSet(real), SampleSet(fake), k_nn)
+    assert got == _oracle_precision_recall(real, fake, k_nn)
+
+
+def test_precision_recall_single_distinct_point():
+    real = np.ones((5, 2))
+    fake = np.vstack([np.ones((3, 2)), np.zeros((4, 2))])
+    expected = _oracle_precision_recall(real, fake, 2)
+    assert precision_recall(SampleSet(real), SampleSet(fake), 2) == expected
+    assert expected == (3 / 7, 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 3), BLOCK_BYTES, st.data())
+def test_cached_reference_matches_fresh_sets(dim, block_bytes, data):
+    real, fake = _grid(data, 2, 30, dim), _grid(data, 2, 30, dim)
+    ks = list(range(1, min(len(real), len(fake))))
+    reference = SampleSet(real)
+    for k_nn in data.draw(st.permutations(ks + ks)):
+        with mock.patch.object(metrics, "_BLOCK_BYTES", block_bytes):
+            cached = precision_recall(reference, SampleSet(fake), k_nn)
+        assert cached == precision_recall(SampleSet(real), SampleSet(fake), k_nn)
+        assert cached == _oracle_precision_recall(real, fake, k_nn)
+
+
+def test_sample_set_points_are_a_read_only_copy():
+    pts = np.zeros((3, 2))
+    s = SampleSet(pts)
+    assert pts.flags.writeable
+    with pytest.raises(ValueError):
+        s.points[0, 0] = 1.0
+
+
+# precision_recall reads recall off the same fake-by-real distances as
+# precision, which rests on cdist being exactly symmetric, and builds each
+# manifold from row blocks, which rests on a row not depending on its block.
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 100), st.integers(0, 2**32 - 1))
+def test_scipy_cdist_transpose_and_row_blocks_are_exact(n_a, n_b, dim, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((n_a, dim)), rng.standard_normal((n_b, dim))
+    d = cdist(a, b)
+    assert np.array_equal(d, cdist(b, a).T)
+    assert np.array_equal(d[n_a // 2:], cdist(a[n_a // 2:], b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_nn_distances_matches_full_sort(dim, data):
+    gen, train = _grid(data, 1, 30, dim), _grid(data, 1, 30, dim)
+    d = np.sort(cdist(gen, train), axis=1)
+    for j in range(1, len(train) + 1):
+        got = nn_distances(SampleSet(gen), SampleSet(train), j)
+        assert np.array_equal(got, d[:, :j].mean(axis=1))
 
 
 def test_nn_distances_subset_is_zero():

@@ -180,8 +180,8 @@ def _cmd_modes(args):
 
 
 def _cmd_metrics(args):
-    generated = metrics.SampleSet(_read_points(args.generated), "generated")
-    reference = metrics.SampleSet(_read_points(args.reference), "reference")
+    generated = metrics.SampleSet(_read_points(args.generated))
+    reference = metrics.SampleSet(_read_points(args.reference))
     prec, rec = metrics.precision_recall(reference, generated, args.k_nn)
     text = json.dumps({
         "frechet": metrics.frechet_distance(reference, generated),

@@ -17,6 +17,16 @@ from .errors import InputError, ValidationError, finite_array, read_json
 
 ACTIVATIONS = ("identity", "relu", "leaky_relu")
 
+# Bytes per block of every batched loop (pool scoring, distance matrices):
+# glibc keeps a freed heap top resident, so a bigger block adds to later peaks.
+BLOCK_BYTES = 1 << 22
+
+
+def row_blocks(n_rows, row_bytes):
+    """Slices of range(n_rows): one row, or as many as fit in BLOCK_BYTES."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
 
 @dataclass(frozen=True)
 class Layer:

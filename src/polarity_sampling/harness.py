@@ -79,6 +79,10 @@ class ExperimentConfig:
                 raise ConfigError(f"config field {name!r} must be {what}, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"config field 'seed' must be non-negative, got {self.seed}")
+        for name in ("eps", "epsilon"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"config field {name!r} must be finite and > 0, "
+                                  f"got {getattr(self, name)!r}")
         for name, kind in _GRID_FIELDS.items():
             grid = getattr(self, name)
             if grid is not None and not (
@@ -170,7 +174,7 @@ def _generate(config, net, pool, rho, seed):
 def run_pareto(config):
     """(rho, psi) sweep of precision/recall/Fréchet against the reference set."""
     net, feature_net, base_domain = _load(config)
-    reference = SampleSet(config.load_reference(), "reference")
+    reference = SampleSet(config.load_reference())
     rows = []
     for i_psi, psi in enumerate(config.psi_grid):
         domain = base_domain if psi == 1.0 else base_domain.truncate(psi)
@@ -178,7 +182,7 @@ def run_pareto(config):
                          child_seed(config.seed, "pool", i_psi))
         draw_seed = child_seed(config.seed, "sample", i_psi)
         for rho in config.rho_grid:
-            fake = SampleSet(_generate(config, net, pool, rho, draw_seed), "generated")
+            fake = SampleSet(_generate(config, net, pool, rho, draw_seed))
             prec, rec = precision_recall(reference, fake, config.k_nn)
             fd = frechet_distance(reference, fake)
             rows.append((float(rho), float(psi), float(prec), float(rec),
@@ -191,7 +195,7 @@ def run_ablation(config):
     if not config.n_grid or not config.k_grid:
         raise ConfigError("ablation needs nonempty n_grid and k_grid")
     net, feature_net, domain = _load(config)
-    reference = SampleSet(config.load_reference(), "reference")
+    reference = SampleSet(config.load_reference())
     rho = config.rho_grid[0]
     rows = []
     for i_n, n in enumerate(config.n_grid):
@@ -203,9 +207,7 @@ def run_ablation(config):
             )
             fake = SampleSet(
                 _generate(config, net, pool, rho,
-                          child_seed(config.seed, "ablate_sample", i_n, i_k)),
-                "generated",
-            )
+                          child_seed(config.seed, "ablate_sample", i_n, i_k)))
             prec, rec = precision_recall(reference, fake, config.k_nn)
             fd = frechet_distance(reference, fake)
             rows.append((int(n), int(k), float(fd), float(prec), float(rec),
@@ -232,8 +234,8 @@ def run_modes(config, rho_extreme=None):
     }
     if config.reference is not None:
         dists = nn_distances(
-            SampleSet(outputs, "modes"),
-            SampleSet(config.load_reference(), "reference"),
+            SampleSet(outputs),
+            SampleSet(config.load_reference()),
             config.j,
         )
         report["nn_distances"] = dists.tolist()
@@ -244,8 +246,8 @@ def run_modes(config, rho_extreme=None):
 def run_shift(config):
     """Fréchet distance to a biased and an unbiased reference across rho."""
     net, feature_net, domain = _load(config)
-    biased = SampleSet(config.load_reference("reference_biased"), "biased")
-    uniform = SampleSet(config.load_reference("reference_uniform"), "uniform")
+    biased = SampleSet(config.load_reference("reference_biased"))
+    uniform = SampleSet(config.load_reference("reference_uniform"))
     if biased.dim != uniform.dim:
         raise ConfigError("shift references live in different spaces")
     pool = _pool_for(config, net, feature_net, domain,
@@ -253,7 +255,7 @@ def run_shift(config):
     draw_seed = child_seed(config.seed, "sample", 0)
     rows = []
     for rho in config.rho_grid:
-        fake = SampleSet(_generate(config, net, pool, rho, draw_seed), "generated")
+        fake = SampleSet(_generate(config, net, pool, rho, draw_seed))
         rows.append((float(rho), float(frechet_distance(biased, fake)),
                      float(frechet_distance(uniform, fake)), config.seed))
     return ["rho", "frechet_biased", "frechet_uniform", "seed"], rows

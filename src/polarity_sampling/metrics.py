@@ -10,24 +10,11 @@ from . import cpa
 from .errors import InputError
 
 
-# Distance matrices are computed in row blocks of at most this many bytes.
-# A whole U×U matrix (~30 MB at U=2,000) stays resident after it is freed,
-# as glibc keeps a freed heap top below its trim threshold, and that memory
-# then adds to the peak of the next pool build.
-_BLOCK_BYTES = 1 << 22
-
-
-def _row_blocks(n_rows, n_cols):
-    step = max(1, _BLOCK_BYTES // (8 * n_cols))
-    return (slice(i, i + step) for i in range(0, n_rows, step))
-
-
 @dataclass(frozen=True)
 class SampleSet:
     """A read-only (N, D) point set; its k-NN manifolds are cached per k."""
 
     points: np.ndarray
-    label: str = ""
     _manifolds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,7 +47,7 @@ class SampleSet:
             kk = min(k, support.shape[0] - 1)
             radii = np.zeros(support.shape[0])
             if kk >= 1:
-                for rows in _row_blocks(support.shape[0], support.shape[0]):
+                for rows in cpa.row_blocks(support.shape[0], 8 * support.shape[0]):
                     d = cdist(support[rows], support)
                     np.fill_diagonal(d[:, rows], np.inf)
                     d.partition(kk - 1, axis=1)
@@ -125,7 +112,7 @@ def precision_recall(real, fake, k_nn=3):
     fake_support, fake_counts, fake_radii = fake.manifold(k_nn)
     fake_covered = np.zeros(fake_support.shape[0], dtype=bool)
     real_covered = np.zeros(real_support.shape[0], dtype=bool)
-    for rows in _row_blocks(fake_support.shape[0], real_support.shape[0]):
+    for rows in cpa.row_blocks(fake_support.shape[0], 8 * real_support.shape[0]):
         d = cdist(fake_support[rows], real_support)
         fake_covered[rows] = np.any(d <= real_radii[None, :], axis=1)
         real_covered |= np.any(d <= fake_radii[rows, None], axis=0)
@@ -142,7 +129,10 @@ def nn_distances(generated, training, j=3):
         raise InputError(f"j must be at least 1, got {j}")
     if j > len(training):
         raise InputError(f"j={j} exceeds training set size {len(training)}")
-    nearest = np.partition(cdist(generated.points, training.points), j - 1, axis=1)[:, :j]
+    nearest = np.empty((len(generated), j))
+    for rows in cpa.row_blocks(len(generated), 8 * len(training)):
+        d = cdist(generated.points[rows], training.points)
+        nearest[rows] = np.partition(d, j - 1, axis=1)[:, :j]
     return np.sort(nearest, axis=1).mean(axis=1)
 
 

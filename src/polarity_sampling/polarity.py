@@ -29,7 +29,6 @@ _POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
                 "z": str, "log_volumes": str, "codes": str}
 _POOL_COLUMNS = {"z": "<f8", "log_volumes": "<f8", "codes": "u1"}
 _STALL_LIMIT = 10_000_000
-_POOL_CHUNK = 8192     # latents scored per layer pass in build_pool
 _ONLINE_CHUNK = 4096   # candidates proposed per round in OnlineSampler.draw
 
 
@@ -282,11 +281,16 @@ def _effective_net(net, space, feature_net):
 
 
 def region_log_volumes(net, zs, k, eps=DEFAULT_EPS):
-    """Batched per-latent log-volumes of the top-k spectra, plus the (n,
-    num_units) activation bits, from one pass over the layers."""
-    A, _, bits = cpa.affine_maps(net, zs)
-    sigmas = batch_top_k_singular_values(A, k)
-    return np.sum(np.log(sigmas + eps), axis=1), bits
+    """Per-latent log-volumes of the top-k spectra, plus the (n, num_units)
+    activation bits, in row blocks whose slopes fit in ``cpa.BLOCK_BYTES``."""
+    zs = np.atleast_2d(zs)
+    widest = max([net.input_dim] + [layer.out_dim for layer in net.layers])
+    lvs = np.empty(zs.shape[0])
+    bits = np.empty((zs.shape[0], net.num_units), dtype=bool)
+    for rows in cpa.row_blocks(zs.shape[0], 8 * net.input_dim * widest):
+        A, _, bits[rows] = cpa.affine_maps(net, zs[rows])
+        lvs[rows] = np.log(batch_top_k_singular_values(A, k) + eps).sum(axis=1)
+    return lvs, bits
 
 
 def build_pool(net, domain, n, k, seed, space="output", feature_net=None,
@@ -315,17 +319,12 @@ def build_pool(net, domain, n, k, seed, space="output", feature_net=None,
             f"rank at most {widths[narrowest]}, the width of {where}"
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    zs, lvs, codes = [], [], []
-    for start in range(0, n, _POOL_CHUNK):
-        z = domain.sample(min(_POOL_CHUNK, n - start), rng)
-        lv, bits = region_log_volumes(eff, z, k, eps)
-        zs.append(z)
-        lvs.append(lv)
-        codes.append(np.packbits(bits, axis=1))
+    z = domain.sample(n, rng)
+    lvs, bits = region_log_volumes(eff, z, k, eps)
     return SamplePool(
-        z=np.concatenate(zs),
-        log_volumes=np.concatenate(lvs),
-        codes=np.concatenate(codes),
+        z=z,
+        log_volumes=lvs,
+        codes=np.packbits(bits, axis=1),
         k=k,
         eps=eps,
         space=space,
@@ -344,8 +343,13 @@ def polarity_weights(pool, rho):
         raise StateError("empty pool")
     if not np.isfinite(rho):
         raise InputError("rho must be finite")
-    scores = rho * pool.log_volumes
-    scores -= scores.max()
+    # an entry that overflows to -inf just gets weight 0
+    with np.errstate(over="ignore"):
+        scores = rho * pool.log_volumes
+    top = scores.max()
+    if not np.isfinite(top):
+        raise InputError(f"rho={rho} overflows the pool's largest log-weight")
+    scores -= top
     w = np.exp(scores)
     return w / w.sum()
 

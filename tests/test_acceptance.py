@@ -161,10 +161,10 @@ def test_criterion_07_frechet_closed_forms(capsys):
     rng = np.random.default_rng(71)
     u = rng.standard_normal((500, 1))
     u = (u - u.mean()) / u.std(ddof=1)
-    base = SampleSet(u, "base")
-    same = frechet_distance(base, SampleSet(u.copy(), "copy"))
-    shift = frechet_distance(base, SampleSet(u + 1.0, "shifted"))
-    scale = frechet_distance(base, SampleSet(2.0 * u, "scaled"))
+    base = SampleSet(u)
+    same = frechet_distance(base, SampleSet(u.copy()))
+    shift = frechet_distance(base, SampleSet(u + 1.0))
+    scale = frechet_distance(base, SampleSet(2.0 * u))
     ok = same <= 1e-10 and abs(shift - 1.0) <= 1e-10 and abs(scale - 1.0) <= 1e-8
     _report(capsys, "07 Frechet closed forms (0, mean shift 1, std 1 vs 2)",
             ok, f"same {same:.1e}, shift err {abs(shift - 1):.1e}, "
@@ -173,11 +173,11 @@ def test_criterion_07_frechet_closed_forms(capsys):
 
 def test_criterion_08_precision_recall_sanity(capsys):
     rng = np.random.default_rng(81)
-    real = SampleSet(rng.uniform(0, 1, size=(2000, 2)), "real")
-    p_same, r_same = precision_recall(real, SampleSet(real.points.copy(), "dup"))
-    far = SampleSet(real.points + 100.0, "far")
+    real = SampleSet(rng.uniform(0, 1, size=(2000, 2)))
+    p_same, r_same = precision_recall(real, SampleSet(real.points.copy()))
+    far = SampleSet(real.points + 100.0)
     p_far, r_far = precision_recall(real, far)
-    nested = SampleSet(rng.uniform(0, 0.5, size=(2000, 2)), "nested")
+    nested = SampleSet(rng.uniform(0, 0.5, size=(2000, 2)))
     p_nest, r_nest = precision_recall(real, nested, k_nn=3)
     ok = (p_same, r_same) == (1.0, 1.0) and (p_far, r_far) == (0.0, 0.0) \
         and p_nest >= 0.95 and abs(r_nest - 0.25) <= 0.1

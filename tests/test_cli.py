@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from polarity_sampling import ExperimentConfig, SamplePool, save_model, write_csv, zoo
+from polarity_sampling import (
+    CpaNetwork, ExperimentConfig, Layer, SamplePool, save_model, write_csv, zoo,
+)
 from polarity_sampling.cli import main
 from polarity_sampling.errors import SamplingTimeout, ValidationError
 from polarity_sampling.synth import SyntheticDataset
@@ -67,7 +69,7 @@ GOLDEN = {
         ("999ee832d328cb587204e49210dc742859f0723b604a6d594ff48c091d3c2d22",
          "2e3dfdcc007fd8fdd26d4ae51b27aaa027189d69b6bf5a5b9aacf6b9cd625241"),
     ),
-    # n > 8192 spans two pool-build chunks
+    # a larger pool: its bytes pin 10,000 prior draws taken in one call
     "ramp_2d": (
         zoo.ramp_2d_net, zoo.ramp_2d_domain, 3, 10000, 2,
         "pool: 10000 records, 2 distinct regions -> {pool}\n",
@@ -452,6 +454,9 @@ MALFORMED_INPUTS = {
     "m_top_bool": (*_config_edit(m_top=False), "'m_top'"),
     "resolution_string": (*_config_edit(resolution="64"), "'resolution'"),
     "eps_string": (*_config_edit(eps="x"), "'eps'"),
+    "eps_negative": (*_config_edit(eps=-1), "'eps'"),
+    "eps_zero": (*_config_edit(eps=0), "'eps'"),
+    "epsilon_nan": (*_config_edit(epsilon=float("nan")), "'epsilon'"),
     "epsilon_null": (*_config_edit(epsilon=None), "'epsilon'"),
     "rho_grid_not_list": (*_config_edit(rho_grid=5), "'rho_grid'"),
     "rho_grid_string_entry": (*_config_edit(rho_grid=["a"]), "'rho_grid'"),
@@ -571,6 +576,10 @@ BAD_ARGUMENTS = {
                        "--k-nn 1 --j 0", "j must be"),
     "metrics_j_negative": ("metrics --generated {points} --reference {points} "
                            "--k-nn 1 --j -1", "j must be"),
+    # every log-volume of the slope-10 line is log 10
+    "sample_rho_overflows": ("sample --pool {scale_pool} --model {scale} --rho 1e308 "
+                             "--s 10 --out {dir}/x.csv", "overflows"),
+    "modes_rho_overflows": ("modes --config {scale_cfg} --out {dir}/m.json", "overflows"),
 }
 
 
@@ -580,8 +589,16 @@ def test_bad_argument_exits_2(case, workdir, capsys):
     paths = {"dir": workdir, "cfg": workdir / "cfg.json",
              "model": workdir / "bimodal.json", "pool": workdir / "pool.json",
              "points": workdir / "pts.csv", "box_cfg": workdir / "box_cfg.json",
-             "binary": workdir / "binary.json"}
+             "binary": workdir / "binary.json", "scale": workdir / "scale.json",
+             "scale_cfg": workdir / "scale_cfg.json",
+             "scale_pool": workdir / "scale_pool.json"}
     main(["pool", "build", "--config", str(paths["cfg"]), "--out", str(paths["pool"])])
+    save_model(CpaNetwork("scale", (Layer(np.array([[10.0]]), np.zeros(1)),)),
+               paths["scale"])
+    ExperimentConfig(model_path=str(paths["scale"]), seed=1, rho_grid=[1e308], n=50,
+                     k=1, domain=zoo.two_piece_domain().to_dict()).to_json(paths["scale_cfg"])
+    main(["pool", "build", "--config", str(paths["scale_cfg"]),
+          "--out", str(paths["scale_pool"])])
     save_model(zoo.two_piece_net(), workdir / "tp.json")
     ExperimentConfig(model_path=str(workdir / "tp.json"), seed=1, rho_grid=[0.0],
                      domain=zoo.two_piece_domain().to_dict()).to_json(paths["box_cfg"])

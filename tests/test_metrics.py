@@ -11,12 +11,12 @@ from polarity_sampling import (
     PolaritySampler, SampleSet, build_pool, frechet_distance, identity_net,
     nn_distances, path_length, precision_recall,
 )
-from polarity_sampling import metrics, zoo
+from polarity_sampling import cpa, zoo
 
 
 def test_frechet_identical_sets_zero():
     pts = np.random.default_rng(0).standard_normal((100, 3))
-    a, b = SampleSet(pts, "a"), SampleSet(pts.copy(), "b")
+    a, b = SampleSet(pts), SampleSet(pts.copy())
     assert frechet_distance(a, b) <= 1e-10
 
 
@@ -137,7 +137,7 @@ def _grid(data, min_rows, max_rows, dim):
 
 
 # block budgets of one row, a few rows, and the whole matrix at these sizes
-BLOCK_BYTES = st.sampled_from([1, 100, metrics._BLOCK_BYTES])
+BLOCK_BYTES = st.sampled_from([1, 100, cpa.BLOCK_BYTES])
 
 
 @settings(max_examples=200, deadline=None)
@@ -145,7 +145,7 @@ BLOCK_BYTES = st.sampled_from([1, 100, metrics._BLOCK_BYTES])
 def test_precision_recall_matches_full_matrix_oracle(dim, block_bytes, data):
     real, fake = _grid(data, 2, 40, dim), _grid(data, 2, 40, dim)
     k_nn = data.draw(st.integers(1, min(len(real), len(fake)) - 1))
-    with mock.patch.object(metrics, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(cpa, "BLOCK_BYTES", block_bytes):
         got = precision_recall(SampleSet(real), SampleSet(fake), k_nn)
     assert got == _oracle_precision_recall(real, fake, k_nn)
 
@@ -165,7 +165,7 @@ def test_cached_reference_matches_fresh_sets(dim, block_bytes, data):
     ks = list(range(1, min(len(real), len(fake))))
     reference = SampleSet(real)
     for k_nn in data.draw(st.permutations(ks + ks)):
-        with mock.patch.object(metrics, "_BLOCK_BYTES", block_bytes):
+        with mock.patch.object(cpa, "BLOCK_BYTES", block_bytes):
             cached = precision_recall(reference, SampleSet(fake), k_nn)
         assert cached == precision_recall(SampleSet(real), SampleSet(fake), k_nn)
         assert cached == _oracle_precision_recall(real, fake, k_nn)
@@ -193,12 +193,13 @@ def test_scipy_cdist_transpose_and_row_blocks_are_exact(n_a, n_b, dim, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3), st.data())
-def test_nn_distances_matches_full_sort(dim, data):
+@given(st.integers(1, 3), BLOCK_BYTES, st.data())
+def test_nn_distances_matches_full_sort(dim, block_bytes, data):
     gen, train = _grid(data, 1, 30, dim), _grid(data, 1, 30, dim)
     d = np.sort(cdist(gen, train), axis=1)
     for j in range(1, len(train) + 1):
-        got = nn_distances(SampleSet(gen), SampleSet(train), j)
+        with mock.patch.object(cpa, "BLOCK_BYTES", block_bytes):
+            got = nn_distances(SampleSet(gen), SampleSet(train), j)
         assert np.array_equal(got, d[:, :j].mean(axis=1))
 
 

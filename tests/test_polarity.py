@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from polarity_sampling import (
@@ -7,7 +10,7 @@ from polarity_sampling import (
     PolaritySampler, SamplePool, build_pool, forward, polarity_weights,
     StateError, region_codes, sample_batch,
 )
-from polarity_sampling import zoo
+from polarity_sampling import cpa, zoo
 
 
 def pool_from_log_volumes(lvs):
@@ -95,6 +98,16 @@ def test_weights_extreme_rho_stability():
         np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
 
 
+def test_weights_overflow():
+    # a log-weight that overflows to -inf gets weight 0; an overflowing
+    # largest one has no finite softmax
+    pool = pool_from_log_volumes([-2.0, 0.5])
+    assert np.array_equal(polarity_weights(pool, 1e308), [0.0, 1.0])
+    for lvs in ([2.0, 0.5], [-2.0, -3.0]):
+        with pytest.raises(InputError, match="overflows"):
+            polarity_weights(pool_from_log_volumes(lvs), 1e308)
+
+
 def test_sample_batch_rho_zero_uniform_frequencies():
     pool = pool_from_log_volumes(np.linspace(-1, 1, 50))
     draws = sample_batch(PolaritySampler(pool, 0.0), 5000, seed=1)
@@ -120,6 +133,41 @@ def test_determinism_bit_for_bit():
     s1 = sample_batch(PolaritySampler(p1, -1.5), 1000, seed=4)
     s2 = sample_batch(PolaritySampler(p2, -1.5), 1000, seed=4)
     assert np.array_equal(s1, s2)
+
+
+def _domains(dim):
+    return {
+        "box": LatentDomain("uniform_box", lo=-np.ones(dim), hi=np.ones(dim)),
+        "gaussian": LatentDomain("gaussian", mean=np.zeros(dim), std=np.ones(dim)),
+        "psi": LatentDomain("gaussian", mean=np.zeros(dim), std=np.ones(dim), psi=0.6),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300),
+       st.sampled_from(["box", "gaussian", "psi"]), st.data())
+def test_pool_columns_do_not_depend_on_block_budget(net_seed, n, kind, data):
+    net = zoo.random_net(net_seed)
+    domain = _domains(net.input_dim)[kind]
+    widths = [net.input_dim] + [layer.out_dim for layer in net.layers]
+    k = data.draw(st.integers(1, min(widths)))
+    expected = build_pool(net, domain, n, k, seed=7)
+    # one row per block, then three
+    for budget in (1, 3 * 8 * net.input_dim * max(widths)):
+        with mock.patch.object(cpa, "BLOCK_BYTES", budget):
+            got = build_pool(net, domain, n, k, seed=7)
+        for column in ("z", "log_volumes", "codes"):
+            assert np.array_equal(getattr(got, column), getattr(expected, column))
+
+
+def test_online_draws_do_not_depend_on_block_budget():
+    net = zoo.random_net(13, input_dim=3)
+    pool = build_pool(net, _domains(3)["box"], 20000, 2, seed=1)
+    expected = OnlineSampler(pool, net, -1.0, seed=3).draw(500)
+    for budget in (1, 3 * 8 * 3 * 28):   # one row per block, then three
+        with mock.patch.object(cpa, "BLOCK_BYTES", budget):
+            got = OnlineSampler(pool, net, -1.0, seed=3).draw(500)
+        assert np.array_equal(got, expected)
 
 
 def test_online_linear_net_matches_prior():

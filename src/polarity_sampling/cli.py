@@ -128,12 +128,9 @@ def _write_points(path, pts):
 
 def _cmd_pool_build(args):
     config = _load_config(args)
-    net = config.load_net()
-    pool = build_pool(
-        net, config.load_domain(), config.n, config.k, config.seed,
-        space=config.space, feature_net=config.load_feature_net(),
-        eps=config.eps,
-    )
+    pool = build_pool(config.load_net(), config.load_domain(), config.n, config.k,
+                      config.seed, feature_net=config.load_feature_net(),
+                      eps=config.eps)
     pool.save(args.out)
     print(f"pool: {pool.n} records, {pool.distinct_code_count()} distinct regions "
           f"-> {args.out}")

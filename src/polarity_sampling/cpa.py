@@ -40,7 +40,9 @@ class Layer:
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=np.float64)
         b = np.asarray(self.bias, dtype=np.float64)
-        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+        if w.ndim != 2:
+            raise ValidationError(f"layer weight must be a matrix, not shape {w.shape}")
+        if b.shape != w.shape[:1]:
             raise ValidationError(
                 f"layer weight {w.shape} and bias {b.shape} do not agree"
             )
@@ -48,7 +50,8 @@ class Layer:
             if not np.all(np.isfinite(value)):
                 raise ValidationError(f"layer {name} holds non-finite entries")
         if self.activation not in ACTIVATIONS:
-            raise ValidationError(f"unsupported activation {self.activation!r}")
+            raise ValidationError(f"unsupported activation {self.activation!r} (only "
+                                  f"exact piecewise-affine activations are supported)")
         if self.activation == "leaky_relu" and not (0.0 < self.alpha < 1.0):
             raise ValidationError(f"leaky slope alpha={self.alpha} outside (0, 1)")
         object.__setattr__(self, "weight", w)
@@ -219,43 +222,32 @@ def from_dict(data):
             raise ValidationError(f"model document missing field {key!r}")
     if not isinstance(data["layers"], list):
         raise ValidationError("model field 'layers' must be a list")
-    prev_dim = data["input_dim"]
-    if isinstance(prev_dim, bool) or not isinstance(prev_dim, int):
+    input_dim = data["input_dim"]
+    if isinstance(input_dim, bool) or not isinstance(input_dim, int):
         raise ValidationError(f"model field 'input_dim' must be an integer, "
-                              f"got {prev_dim!r}")
+                              f"got {input_dim!r}")
     layers = []
     for i, spec in enumerate(data["layers"]):
         if not isinstance(spec, dict):
             raise ValidationError(f"layer {i}: expected an object")
-        act = spec.get("activation", "identity")
-        if act not in ACTIVATIONS:
-            raise ValidationError(
-                f"layer {i}: unsupported activation {act!r} (only exact "
-                f"piecewise-affine activations are supported)"
-            )
         if "weight" not in spec:
             raise ValidationError(f"layer {i}: no weight matrix")
-        weight = finite_array(spec["weight"], f"layer {i}: weight", ValidationError)
-        if weight.ndim != 2:
-            raise ValidationError(
-                f"layer {i}: weight rows have inconsistent lengths"
-            )
-        bias = finite_array(spec.get("bias", np.zeros(weight.shape[0])),
-                            f"layer {i}: bias", ValidationError)
         alpha = spec.get("alpha", 0.0)
         if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
             raise ValidationError(f"layer {i}: alpha must be a number, got {alpha!r}")
-        if weight.shape[1] != prev_dim:
-            raise ValidationError(
-                f"layer {i}: weight expects input dim {weight.shape[1]}, "
-                f"chain provides {prev_dim}"
-            )
         try:
-            layers.append(Layer(weight, bias, act, float(alpha)))
+            weight = finite_array(spec["weight"], "weight", ValidationError)
+            bias = finite_array(spec.get("bias", np.zeros(weight.shape[:1])), "bias",
+                                ValidationError)
+            layers.append(Layer(weight, bias, spec.get("activation", "identity"),
+                                float(alpha)))
         except ValidationError as exc:
             raise ValidationError(f"layer {i}: {exc}") from exc
-        prev_dim = weight.shape[0]
-    return CpaNetwork(name=str(data["name"]), layers=tuple(layers))
+    net = CpaNetwork(name=str(data["name"]), layers=tuple(layers))
+    if net.input_dim != input_dim:
+        raise ValidationError(f"layer 0: weight expects input dim {net.input_dim}, "
+                              f"model declares input_dim {input_dim}")
+    return net
 
 
 def save_model(net, path):

@@ -10,7 +10,6 @@ making "polarity off" and "rho = 0" bit-identical.
 import csv
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -135,12 +134,6 @@ class ExperimentConfig:
             raise ConfigError(f"config is missing the {which!r} dataset")
         return SyntheticDataset.from_dict(spec).sample()
 
-    @property
-    def space(self):
-        if self.feature_model_path is None:
-            return "output"
-        return f"composed:{os.path.basename(self.feature_model_path)}"
-
 
 def write_csv(path, header, rows):
     """CSV with repr-formatted floats: byte-identical across identical runs."""
@@ -160,10 +153,8 @@ def _load(config):
 
 
 def _pool_for(config, net, feature_net, domain, seed):
-    return build_pool(
-        net, domain, config.n, config.k, seed, space=config.space,
-        feature_net=feature_net, eps=config.eps,
-    )
+    return build_pool(net, domain, config.n, config.k, seed,
+                      feature_net=feature_net, eps=config.eps)
 
 
 def _generate(config, net, pool, rho, seed):
@@ -203,7 +194,7 @@ def run_ablation(config):
             pool = build_pool(
                 net, domain, int(n), int(k),
                 child_seed(config.seed, "ablate_pool", i_n, i_k),
-                space=config.space, feature_net=feature_net, eps=config.eps,
+                feature_net=feature_net, eps=config.eps,
             )
             fake = SampleSet(
                 _generate(config, net, pool, rho,

@@ -9,6 +9,8 @@ from scipy.spatial.distance import cdist
 from . import cpa
 from .errors import InputError
 
+_COV_REG = 1e-10   # ridge on the covariance of a set of at most D points
+
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -58,12 +60,12 @@ class SampleSet:
         return self._manifolds[k]
 
 
-def _mean_cov(points, reg=1e-10):
+def _mean_cov(points):
     mu = points.mean(axis=0)
     if points.shape[0] <= points.shape[1]:
         # too few points for a full-rank covariance; regularize instead of failing
         cov = np.cov(points, rowvar=False).reshape(points.shape[1], points.shape[1])
-        cov = cov + reg * np.eye(points.shape[1])
+        cov = cov + _COV_REG * np.eye(points.shape[1])
     else:
         cov = np.atleast_2d(np.cov(points, rowvar=False))
     return mu, cov

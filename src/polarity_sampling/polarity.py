@@ -156,7 +156,7 @@ class SamplePool:
     codes: np.ndarray          # (n, code bytes) uint8
     k: int
     eps: float
-    space: str            # "output" or "composed:<feature net name>"
+    space: str            # "output" or "composed:<feature net fingerprint>"
     seed: int
     domain: LatentDomain
     net_fingerprint: str
@@ -171,6 +171,8 @@ class SamplePool:
                 f"pool columns disagree: z {z.shape}, log_volumes {lvs.shape}, "
                 f"codes {codes.shape}, latent dim {self.domain.dim}"
             )
+        if n == 0:
+            raise ValidationError("pool is empty: it holds no latents")
         if not np.all(np.isfinite(lvs)):
             raise ValidationError("pool log-volumes must be finite")
         object.__setattr__(self, "z", z)
@@ -268,19 +270,15 @@ class SamplePool:
             )
 
 
-def _effective_net(net, space, feature_net):
-    if space == "output":
-        return net
-    if space.startswith("composed"):
-        if feature_net is None:
-            raise ConfigError(
-                f"pool space {space!r} requires the matching feature network"
-            )
-        return cpa.compose(net, feature_net)
-    raise ConfigError(f"unknown space {space!r}")
+def _scored_net(net, feature_net):
+    """The network a pool scores and its ``space`` label: the generator, or the
+    generator composed with the feature net, named by that net's content hash."""
+    if feature_net is None:
+        return net, "output"
+    return cpa.compose(net, feature_net), "composed:" + cpa.fingerprint(feature_net)
 
 
-def region_log_volumes(net, zs, k, eps=DEFAULT_EPS):
+def region_log_volumes(net, zs, k, eps):
     """Per-latent log-volumes of the top-k spectra, plus the (n, num_units)
     activation bits, in row blocks whose slopes fit in ``cpa.BLOCK_BYTES``."""
     zs = np.atleast_2d(zs)
@@ -293,8 +291,7 @@ def region_log_volumes(net, zs, k, eps=DEFAULT_EPS):
     return lvs, bits
 
 
-def build_pool(net, domain, n, k, seed, space="output", feature_net=None,
-               eps=DEFAULT_EPS):
+def build_pool(net, domain, n, k, seed, feature_net=None, eps=DEFAULT_EPS):
     """Draw n latents i.i.d. from the domain and score each one's region.
 
     Deterministic given the seed; pool construction and later sampling use
@@ -302,7 +299,7 @@ def build_pool(net, domain, n, k, seed, space="output", feature_net=None,
     """
     if n < 1:
         raise InputError("pool size must be at least 1")
-    eff = _effective_net(net, space, feature_net)
+    eff, space = _scored_net(net, feature_net)
     if domain.dim != eff.input_dim:
         raise InputError(
             f"domain dim {domain.dim} does not match network input {eff.input_dim}"
@@ -337,20 +334,23 @@ def build_pool(net, domain, n, k, seed, space="output", feature_net=None,
 # --- samplers ----------------------------------------------------------------
 
 
-def polarity_weights(pool, rho):
-    """Categorical weights softmax(rho * log_volumes), computed in log-space."""
-    if pool.n == 0:
-        raise StateError("empty pool")
+def _log_weights(log_volumes, rho):
+    """The scores rho * log_volumes shifted so that their maximum is 0, and
+    that maximum; an entry that overflows to -inf just gets weight 0."""
     if not np.isfinite(rho):
         raise InputError("rho must be finite")
-    # an entry that overflows to -inf just gets weight 0
     with np.errstate(over="ignore"):
-        scores = rho * pool.log_volumes
+        scores = rho * log_volumes
     top = scores.max()
     if not np.isfinite(top):
         raise InputError(f"rho={rho} overflows the pool's largest log-weight")
     scores -= top
-    w = np.exp(scores)
+    return scores, top
+
+
+def polarity_weights(pool, rho):
+    """Categorical weights softmax(rho * log_volumes), computed in log-space."""
+    w = np.exp(_log_weights(pool.log_volumes, rho)[0])
     return w / w.sum()
 
 
@@ -387,17 +387,19 @@ class OnlineSampler:
     is exactly proportional to w_z: textbook rejection sampling for the
     target density.  That holds only while w_max bounds every candidate; a
     candidate that outweighs it raises StateError instead of biasing the
-    draws.
+    draws.  A pool scored for another generator or feature net is refused.
     """
 
     def __init__(self, pool, net, rho, seed, feature_net=None):
-        if pool.n == 0:
-            raise StateError("empty pool")
+        pool.check_fingerprint(net)
+        self.net, space = _scored_net(net, feature_net)
+        if space != pool.space:
+            raise ConfigError(f"pool was scored in space {pool.space!r}, this "
+                              f"sampler scores {space!r}")
         self.pool = pool
-        self.net = _effective_net(net, pool.space, feature_net)
         self.rho = float(rho)
         self.rng = np.random.default_rng(seed)
-        self._log_wmax = float((rho * pool.log_volumes).max())
+        self._log_wmax = float(_log_weights(pool.log_volumes, self.rho)[1])
         self._proposed = 0
         self._accepted = 0
 
@@ -407,9 +409,9 @@ class OnlineSampler:
         rejections = 0
         while filled < s:
             zs = self.pool.domain.sample(_ONLINE_CHUNK, self.rng)
-            lw = self.rho * region_log_volumes(
-                self.net, zs, self.pool.k, self.pool.eps
-            )[0]
+            lvs = region_log_volumes(self.net, zs, self.pool.k, self.pool.eps)[0]
+            with np.errstate(over="ignore"):
+                lw = self.rho * lvs
             excess = float(lw.max()) - self._log_wmax
             if excess > 0.0:
                 raise StateError(

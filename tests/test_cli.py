@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from polarity_sampling import (
-    CpaNetwork, ExperimentConfig, Layer, SamplePool, save_model, write_csv, zoo,
+    CpaNetwork, ExperimentConfig, Layer, SamplePool, compose, fingerprint,
+    region_log_volumes, save_model, write_csv, zoo,
 )
 from polarity_sampling.cli import main
 from polarity_sampling.errors import SamplingTimeout, ValidationError
@@ -330,6 +331,32 @@ def test_model_flag_replaces_missing_config_model(workdir):
     assert direct.read_bytes() == replaced.read_bytes()
 
 
+def test_seed_flag_replaces_config_seed(workdir):
+    doc = json.loads((workdir / "cfg.json").read_text())
+    seeded = workdir / "seed5.json"
+    seeded.write_text(json.dumps({**doc, "seed": 5}))
+    direct, replaced, own = (workdir / f"{name}.csv" for name in ("d", "r", "o"))
+    assert main(["pareto", "--config", str(seeded), "--out", str(direct)]) == 0
+    assert main(["pareto", "--config", str(workdir / "cfg.json"), "--seed", "5",
+                 "--out", str(replaced)]) == 0
+    assert main(["pareto", "--config", str(workdir / "cfg.json"),
+                 "--out", str(own)]) == 0
+    assert direct.read_bytes() == replaced.read_bytes() != own.read_bytes()
+
+
+def test_feature_model_flag_scores_the_composed_net(workdir):
+    feat = CpaNetwork("feat", (Layer(np.array([[1.0], [-3.0]]), np.zeros(2), "relu"),))
+    save_model(feat, workdir / "feat.json")
+    pool = workdir / "pool.json"
+    assert main(["pool", "build", "--config", str(workdir / "cfg.json"),
+                 "--feature-model", str(workdir / "feat.json"), "--out", str(pool)]) == 0
+    loaded = SamplePool.load(pool)
+    assert loaded.space == "composed:" + fingerprint(feat)
+    expected, _ = region_log_volumes(compose(zoo.bimodal_generator(), feat), loaded.z,
+                                     loaded.k, loaded.eps)
+    assert np.array_equal(loaded.log_volumes, expected)
+
+
 def test_malformed_model_exits_2(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x", "input_dim": 1, "layers": "nope"}\n')
@@ -392,6 +419,7 @@ MALFORMED_POOLS = {
         [np.nan] + [0.0] * (doc["n"] - 1))),
     "inf_log_volume": _set("log_volumes", lambda doc: _b64(
         [0.0] * (doc["n"] - 1) + [-np.inf])),
+    "empty_pool": lambda doc: {**doc, "n": 0, "z": "", "log_volumes": "", "codes": ""},
 }
 
 
@@ -411,6 +439,8 @@ def test_malformed_pool_exits_2(case, workdir, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
     if case == "v1_file":
         assert "rebuild it with `polsamp pool build`" in err
+    if case == "empty_pool":
+        assert f"{pool}: pool is empty" in err
 
 
 def _config_edit(**fields):
@@ -443,6 +473,13 @@ MALFORMED_INPUTS = {
         domain={"kind": "gaussian", "mean": [None], "std": [1.0]}), "'mean'"),
     "domain_psi_string": (*_config_edit(
         domain={"kind": "gaussian", "mean": [0.0], "std": [1.0], "psi": "0.5"}), "'psi'"),
+    "domain_lo_above_hi": (*_config_edit(
+        domain={"kind": "uniform_box", "lo": [1.0], "hi": [0.0]}), "lo < hi"),
+    "domain_std_zero": (*_config_edit(
+        domain={"kind": "gaussian", "mean": [0.0], "std": [0.0]}), "std > 0"),
+    "domain_psi_above_one": (*_config_edit(
+        domain={"kind": "gaussian", "mean": [0.0], "std": [1.0], "psi": 1.5}),
+        "psi must lie in (0, 1]"),
     "n_string": (*_config_edit(n="abc"), "'n'"),
     "k_float": (*_config_edit(k=1.5), "'k'"),
     "s_bool": (*_config_edit(s=True), "'s'"),
@@ -463,6 +500,7 @@ MALFORMED_INPUTS = {
     "psi_grid_bool_entry": (*_config_edit(psi_grid=[True]), "'psi_grid'"),
     "n_grid_float_entry": (*_config_edit(n_grid=[100.5]), "'n_grid'"),
     "k_grid_string": (*_config_edit(k_grid="1"), "'k_grid'"),
+    "psi_grid_empty": (*_config_edit(psi_grid=[]), "psi grid must be nonempty"),
     "n_zero": (*_config_edit(n=0), "'n'"),
     "k_zero": (*_config_edit(k=0), "'k'"),
     "s_zero": (*_config_edit(s=0), "'s'"),
@@ -473,11 +511,14 @@ MALFORMED_INPUTS = {
     "model_missing": ("config", lambda doc: {
         **doc, "model_path": doc["model_path"] + ".missing"}, "cannot read"),
     "input_dim_string": (*_model_edit(input_dim="abc"), "input_dim"),
+    "input_dim_disagrees": (*_model_edit(input_dim=2), "declares input_dim 2"),
     "bias_non_numeric": (*_model_edit(layer={"bias": ["x", 0.0]}), "bias"),
     "alpha_non_numeric": (*_model_edit(layer={"activation": "leaky_relu",
                                               "alpha": "abc"}), "alpha"),
     "weight_nan": (*_model_edit(layer={"weight": [[float("nan")], [-1.0]]}), "weight"),
     "bias_infinity": (*_model_edit(layer={"bias": [float("inf"), 0.0]}), "bias"),
+    "weight_scalar": (*_model_edit(layer={"weight": 1.0}), "weight"),
+    "weight_vector": (*_model_edit(layer={"weight": [1.0, -1.0]}), "weight"),
     "points_short_second_row": ("points", "1.0,2.0\n3.0\n", None),
     "points_non_numeric_row": ("points", "x0\n1.0\nabc\n", None),
     "points_header_only": ("points", "x0\n", "no points"),
@@ -533,6 +574,8 @@ MALFORMED_REFERENCES = {
     "cov_not_psd": (lambda ref: {**ref, "params": {
         **ref["params"], "means": [[-3.0, 0.0], [1.0, 0.0]],
         "covs": [[[1.0, 2.0], [2.0, 1.0]], 0.01]}}, "'covs' entry 0"),
+    "weights_sum_below_one": (lambda ref: {**ref, "params": {
+        **ref["params"], "weights": [0.3, 0.3]}}, "sum to 1"),
 }
 
 
@@ -576,6 +619,13 @@ BAD_ARGUMENTS = {
                        "--k-nn 1 --j 0", "j must be"),
     "metrics_j_negative": ("metrics --generated {points} --reference {points} "
                            "--k-nn 1 --j -1", "j must be"),
+    "metrics_dims_differ": ("metrics --generated {points} --reference {plane}",
+                            "dimension mismatch"),
+    "metrics_j_above_reference_rows": ("metrics --generated {plane} --reference "
+                                       "{plane} --k-nn 1 --j 5",
+                                       "exceeds training set size"),
+    "shift_references_differ": ("shift --config {shift_cfg} --out {dir}/s.csv",
+                                "different spaces"),
     # every log-volume of the slope-10 line is log 10
     "sample_rho_overflows": ("sample --pool {scale_pool} --model {scale} --rho 1e308 "
                              "--s 10 --out {dir}/x.csv", "overflows"),
@@ -591,7 +641,8 @@ def test_bad_argument_exits_2(case, workdir, capsys):
              "points": workdir / "pts.csv", "box_cfg": workdir / "box_cfg.json",
              "binary": workdir / "binary.json", "scale": workdir / "scale.json",
              "scale_cfg": workdir / "scale_cfg.json",
-             "scale_pool": workdir / "scale_pool.json"}
+             "scale_pool": workdir / "scale_pool.json", "plane": workdir / "plane.csv",
+             "shift_cfg": workdir / "shift_cfg.json"}
     main(["pool", "build", "--config", str(paths["cfg"]), "--out", str(paths["pool"])])
     save_model(CpaNetwork("scale", (Layer(np.array([[10.0]]), np.zeros(1)),)),
                paths["scale"])
@@ -602,7 +653,17 @@ def test_bad_argument_exits_2(case, workdir, capsys):
     save_model(zoo.two_piece_net(), workdir / "tp.json")
     ExperimentConfig(model_path=str(workdir / "tp.json"), seed=1, rho_grid=[0.0],
                      domain=zoo.two_piece_domain().to_dict()).to_json(paths["box_cfg"])
+    # a 1-D biased and a 2-D uniform reference
+    line, plane = ({"weights": [1.0], "means": [[0.0] * dim], "covs": [0.1]}
+                   for dim in (1, 2))
+    ExperimentConfig(
+        model_path=str(workdir / "tp.json"), seed=1, rho_grid=[0.0],
+        domain=zoo.two_piece_domain().to_dict(),
+        reference_biased=SyntheticDataset("gaussian_mixture", line, 50, 1).to_dict(),
+        reference_uniform=SyntheticDataset("gaussian_mixture", plane, 50, 2).to_dict(),
+    ).to_json(paths["shift_cfg"])
     paths["points"].write_text("x0\n-1.0\n0.25\n")
+    paths["plane"].write_text("x0,x1\n0.0,1.0\n2.0,0.5\n-1.0,3.0\n")
     paths["binary"].write_bytes(b"\xff\xfe{}")
     capsys.readouterr()
     rc = main(argv.format(**paths).split())

@@ -259,6 +259,15 @@ def test_dimension_chain_violation(tmp_path):
         load_model(path)
 
 
+def test_layer_names_the_rule_it_enforces():
+    with pytest.raises(ValidationError, match="only exact piecewise-affine"):
+        Layer(np.eye(1), np.zeros(1), "tanh")
+    with pytest.raises(ValidationError, match="must be a matrix"):
+        Layer(np.ones(2), np.zeros(2))
+    with pytest.raises(ValidationError, match="do not agree"):
+        Layer(np.eye(2), np.zeros(3))
+
+
 def test_leaky_alpha_range_enforced():
     with pytest.raises(ValidationError):
         Layer(np.eye(1), np.zeros(1), "leaky_relu", alpha=1.5)

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from polarity_sampling import (
-    ConfigError, InputError, LatentDomain, OnlineSampler,
+    ConfigError, CpaNetwork, InputError, LatentDomain, Layer, OnlineSampler,
     PolaritySampler, SamplePool, build_pool, forward, polarity_weights,
-    StateError, region_codes, sample_batch,
+    StateError, region_codes, region_log_volumes, sample_batch,
 )
 from polarity_sampling import cpa, zoo
 
@@ -24,8 +24,6 @@ def pool_from_log_volumes(lvs):
 
 
 def test_linear_net_single_region_pool():
-    from polarity_sampling import CpaNetwork, Layer
-
     rng = np.random.default_rng(1)
     net = CpaNetwork("lin", (Layer(rng.standard_normal((3, 2)), np.zeros(3)),))
     pool = build_pool(net, LatentDomain("uniform_box", lo=[-1, -1], hi=[1, 1]),
@@ -55,10 +53,54 @@ def test_pool_k_above_structural_rank():
     assert build_pool(net, domain, 10, 3, seed=0).n == 10
 
 
-def test_pool_unknown_space():
-    with pytest.raises(ConfigError):
-        build_pool(zoo.two_piece_net(), zoo.two_piece_domain(), 10, 1, seed=0,
-                   space="composed:features")
+def _feature_net(slope):
+    """|x| with slopes 1 and ``slope``: a feature net that reweights two_piece."""
+    return CpaNetwork("feat", (
+        Layer(np.array([[1.0], [-slope]]), np.zeros(2), "relu"),
+        Layer(np.array([[1.0, 1.0]]), np.zeros(1)),
+    ))
+
+
+def test_feature_net_pool_scores_the_composed_net():
+    net, feat = zoo.two_piece_net(), _feature_net(3.0)
+    pool = build_pool(net, zoo.two_piece_domain(), 300, 1, seed=4, feature_net=feat)
+    assert pool.space == "composed:" + cpa.fingerprint(feat)
+    assert pool.net_fingerprint == cpa.fingerprint(net)
+    lvs, bits = region_log_volumes(cpa.compose(net, feat), pool.z, 1, pool.eps)
+    assert np.array_equal(pool.log_volumes, lvs)
+    assert np.array_equal(pool.codes, np.packbits(bits, axis=1))
+    output = build_pool(net, zoo.two_piece_domain(), 300, 1, seed=4)
+    assert output.space == "output"
+    assert np.array_equal(output.z, pool.z)
+    assert not np.array_equal(output.log_volumes, pool.log_volumes)
+
+
+def test_online_refuses_a_pool_scored_for_another_net():
+    net, feat = zoo.two_piece_net(), _feature_net(3.0)
+    output = build_pool(net, zoo.two_piece_domain(), 50, 1, seed=0)
+    composed = build_pool(net, zoo.two_piece_domain(), 50, 1, seed=0, feature_net=feat)
+    for pool, generator, feature_net, names in (
+        (output, net, feat, "'output'"),
+        (composed, net, None, "composed:"),
+        # same name, other weights: the label follows the content
+        (composed, net, _feature_net(4.0), "composed:"),
+        (output, zoo.abs_net(), None, "model"),
+        (composed, zoo.abs_net(), feat, "model"),
+    ):
+        with pytest.raises(ConfigError, match=names):
+            OnlineSampler(pool, generator, 0.0, seed=0, feature_net=feature_net)
+    for pool, feature_net in ((output, None), (composed, feat)):
+        zs = OnlineSampler(pool, net, 0.0, seed=0, feature_net=feature_net).draw(10)
+        assert zs.shape == (10, 1)
+
+
+def test_online_rejects_rho_without_finite_pool_weights():
+    # every log-volume of the slope-10 line is log 10
+    net = CpaNetwork("scale", (Layer(np.array([[10.0]]), np.zeros(1)),))
+    pool = build_pool(net, zoo.two_piece_domain(), 50, 1, seed=0)
+    for rho, names in ((1e308, "overflows"), (np.nan, "finite")):
+        with pytest.raises(InputError, match=names):
+            OnlineSampler(pool, net, rho, seed=0)
 
 
 def test_weights_rho_zero_uniform():
@@ -171,8 +213,6 @@ def test_online_draws_do_not_depend_on_block_budget():
 
 
 def test_online_linear_net_matches_prior():
-    from polarity_sampling import CpaNetwork, Layer
-
     net = CpaNetwork("lin1", (Layer(np.array([[1.7]]), np.array([0.2])),))
     dom = LatentDomain("uniform_box", lo=[-1.0], hi=[1.0])
     pool = build_pool(net, dom, 50, 1, seed=0)

@@ -71,6 +71,11 @@ class ExperimentConfig:
     resolution: int = 64
 
     def __post_init__(self):
+        # open() would take an integer as a file descriptor (0 reads stdin)
+        for name, kinds in (("model_path", str), ("feature_model_path", (str, type(None)))):
+            if not isinstance(getattr(self, name), kinds):
+                raise ConfigError(f"config field {name!r} must be a path string, "
+                                  f"got {getattr(self, name)!r}")
         for name, kind in _NUMBER_FIELDS.items():
             value = getattr(self, name)
             if not _has_type(value, kind):

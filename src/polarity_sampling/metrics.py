@@ -4,12 +4,107 @@ nearest-neighbor distances, and interpolation path length."""
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import cpa
 from .errors import InputError
 
 _COV_REG = 1e-10   # ridge on the covariance of a set of at most D points
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny            # smallest normal number, 2**-1022
+_SAFE = np.finfo(np.float64).max / 8         # no Gram term can overflow below this
+
+
+def _pair_distances(a, b):
+    """Euclidean distance between row i of ``a`` and row i of ``b``.
+
+    The squared differences are summed in coordinate order and then rooted
+    once: bit for bit the rounding of scipy's ``cdist``, on which every
+    distance the metrics compare (and so every CLI output) rests.
+    """
+    diff = a - b
+    acc = np.square(diff[:, 0])
+    for col in diff.T[1:]:
+        acc += np.square(col)
+    return np.sqrt(acc)
+
+
+def _prune_level(r):
+    """Squared-distance levels such that ``s > _prune_level(r)`` proves
+    ``sqrt(s)`` rounds above ``r``.
+
+    Rounding ``sqrt(s)`` to ``r`` or below needs ``s <= r^2 (1 + eps/2)^2``;
+    ``fl(r*r) * (1 + 4 eps)`` is above that.  Where ``r*r`` is subnormal,
+    the next float above it already roots above ``r``; where it overflows,
+    the level is inf, which prunes nothing.
+    """
+    return r * r * (1 + 4 * _EPS)
+
+
+class _Gram:
+    """Lower bounds on the squared distances from rows of ``a`` to every row
+    of ``b``, one GEMM per row block.
+
+    Both sets are centred on ``b``'s mean: x = a - m, y = b - m, rounded.
+    With u = eps/2, D coordinates and R = ||x|| + max ||y||, the Gram
+    estimate g = ||x||^2 + ||y||^2 - 2 x.y (any summation order) is within
+    (D + 2) u R^2 of ||x - y||^2; the rounding of the centring moves that
+    by at most 2 u R^2 from ||a - b||^2; and the squared sum s that
+    ``_pair_distances`` roots is within (D + 2) u ||a - b||^2 of it.  So
+    |g - s| <= (D + 3) eps R^2; ``slack`` is four times that, which also
+    covers the rounding of R and of the bound's own arithmetic.  Underflow
+    adds at most 2**-1075 per product, under 4 D products per pair, hence
+    the smallest normal number on top.  A row whose R^2 nears overflow
+    gets an infinite slack, so its bounds are -inf or NaN and prune nothing.
+    """
+
+    def __init__(self, a, b):
+        mean = b.mean(axis=0)
+        x, y = a - mean, b - mean
+        x_sq, y_sq = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", y, y)
+        r_sq = (np.sqrt(x_sq) + np.sqrt(y_sq.max())) ** 2
+        self.slack = np.where(
+            r_sq < _SAFE, 4 * (a.shape[1] + 4) * _EPS * r_sq + _TINY, np.inf
+        )
+        self._x = -2.0 * x   # the GEMM then yields -2 x.y; scaling by 2 is exact
+        self._y = y
+        self._y_sq = y_sq
+        self._x_sq_lo = x_sq - self.slack
+
+    def lower(self, rows):
+        """(rows, len(b)) lower bounds on the squared distances."""
+        lo = self._x[rows] @ self._y.T
+        lo += self._y_sq
+        lo += self._x_sq_lo[rows, None]
+        return lo
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _k_nearest(a, b, k, self_match):
+    """Each row of ``a``: its ``k`` nearest exact distances to ``b``, ascending.
+
+    With ``self_match`` (``a`` is ``b``) row i skips column i.  Only pairs
+    whose Gram lower bound is not above the row's k-th smallest upper bound
+    are measured exactly; every pruned pair is strictly farther than the
+    k-th nearest, so ties are kept.
+    """
+    gram = _Gram(a, b)
+    nearest = np.empty((a.shape[0], k))
+    for rows in cpa.row_blocks(a.shape[0], 8 * b.shape[0]):
+        lo = gram.lower(rows)
+        n_rows = lo.shape[0]
+        diag = (np.arange(n_rows), rows.start + np.arange(n_rows))
+        if self_match:
+            lo[diag] = np.inf
+        # k-th smallest upper bound: adding a per-row constant keeps the order
+        thr = np.partition(lo, k - 1, axis=1)[:, k - 1] + 2 * gram.slack[rows]
+        keep = ~(lo > thr[:, None])
+        if self_match:
+            keep[diag] = False
+        i, j = np.divmod(np.flatnonzero(keep), b.shape[0])
+        d = _pair_distances(a[rows.start + i], b[j])
+        first = np.searchsorted(i, np.arange(n_rows))
+        nearest[rows] = d[np.lexsort((d, i))][first[:, None] + np.arange(k)]
+    return nearest
 
 
 @dataclass(frozen=True)
@@ -49,11 +144,7 @@ class SampleSet:
             kk = min(k, support.shape[0] - 1)
             radii = np.zeros(support.shape[0])
             if kk >= 1:
-                for rows in cpa.row_blocks(support.shape[0], 8 * support.shape[0]):
-                    d = cdist(support[rows], support)
-                    np.fill_diagonal(d[:, rows], np.inf)
-                    d.partition(kk - 1, axis=1)
-                    radii[rows] = d[:, kk - 1]
+                radii = _k_nearest(support, support, kk, self_match=True)[:, -1]
             for a in (support, counts, radii):
                 a.flags.writeable = False
             self._manifolds[k] = support, counts, radii
@@ -96,13 +187,16 @@ def frechet_distance(a, b):
     return max(d, 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def precision_recall(real, fake, k_nn=3):
     """k-NN manifold precision/recall (Kynkäänniemi-style).
 
     Precision: fraction of fake points inside the real manifold estimate;
     recall: fraction of real points inside the fake manifold estimate.  One
-    distance matrix between the two sets' distinct points serves both
-    directions, and each point counts with its multiplicity.
+    cross pass between the two sets' distinct points serves both
+    directions, and each point counts with its multiplicity.  A pair is
+    measured exactly unless its Gram lower bound proves it outside both
+    balls.
     """
     if real.dim != fake.dim:
         raise InputError(f"dimension mismatch: {real.dim} vs {fake.dim}")
@@ -114,10 +208,16 @@ def precision_recall(real, fake, k_nn=3):
     fake_support, fake_counts, fake_radii = fake.manifold(k_nn)
     fake_covered = np.zeros(fake_support.shape[0], dtype=bool)
     real_covered = np.zeros(real_support.shape[0], dtype=bool)
+    gram = _Gram(fake_support, real_support)
+    real_level, fake_level = _prune_level(real_radii), _prune_level(fake_radii)
     for rows in cpa.row_blocks(fake_support.shape[0], 8 * real_support.shape[0]):
-        d = cdist(fake_support[rows], real_support)
-        fake_covered[rows] = np.any(d <= real_radii[None, :], axis=1)
-        real_covered |= np.any(d <= fake_radii[rows, None], axis=0)
+        lo = gram.lower(rows)
+        keep = ~(lo > np.maximum.outer(fake_level[rows], real_level))
+        i, j = np.divmod(np.flatnonzero(keep), real_support.shape[0])
+        i += rows.start
+        d = _pair_distances(fake_support[i], real_support[j])
+        fake_covered[i[d <= real_radii[j]]] = True
+        real_covered[j[d <= fake_radii[i]]] = True
     precision = fake_counts[fake_covered].sum() / len(fake)
     recall = real_counts[real_covered].sum() / len(real)
     return float(precision), float(recall)
@@ -131,11 +231,7 @@ def nn_distances(generated, training, j=3):
         raise InputError(f"j must be at least 1, got {j}")
     if j > len(training):
         raise InputError(f"j={j} exceeds training set size {len(training)}")
-    nearest = np.empty((len(generated), j))
-    for rows in cpa.row_blocks(len(generated), 8 * len(training)):
-        d = cdist(generated.points[rows], training.points)
-        nearest[rows] = np.partition(d, j - 1, axis=1)[:, :j]
-    return np.sort(nearest, axis=1).mean(axis=1)
+    return _k_nearest(generated.points, training.points, j, self_match=False).mean(axis=1)
 
 
 def path_length(net, sampler, epsilon, n_pairs, seed, feature_net=None):

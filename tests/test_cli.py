@@ -508,6 +508,10 @@ MALFORMED_INPUTS = {
     "j_negative": (*_config_edit(j=-1), "'j'"),
     "n_pairs_zero": (*_config_edit(n_pairs=0), "'n_pairs'"),
     "m_top_negative": (*_config_edit(m_top=-1), "'m_top'"),
+    "model_path_list": (*_config_edit(model_path=["m.json"]), "'model_path'"),
+    "model_path_int": (*_config_edit(model_path=0), "'model_path'"),
+    "feature_model_path_object": (*_config_edit(feature_model_path={"path": "m.json"}),
+                                  "'feature_model_path'"),
     "model_missing": ("config", lambda doc: {
         **doc, "model_path": doc["model_path"] + ".missing"}, "cannot read"),
     "input_dim_string": (*_model_edit(input_dim="abc"), "input_dim"),

@@ -1,9 +1,11 @@
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from polarity_sampling import (
@@ -11,7 +13,8 @@ from polarity_sampling import (
     PolaritySampler, SampleSet, build_pool, frechet_distance, identity_net,
     nn_distances, path_length, precision_recall,
 )
-from polarity_sampling import cpa, zoo
+import polarity_sampling
+from polarity_sampling import cpa, metrics, zoo
 
 
 def test_frechet_identical_sets_zero():
@@ -128,26 +131,81 @@ def _oracle_precision_recall(real, fake, k_nn):
     return precision, recall
 
 
-def _grid(data, min_rows, max_rows, dim):
-    """Points on a small integer grid (width 0 gives a single distinct
-    point): repeated rows and exact distance ties."""
-    width = data.draw(st.integers(0, 3))
-    rows = data.draw(st.integers(min_rows, max_rows))
-    return data.draw(arrays(np.int8, (rows, dim), elements=st.integers(0, width))).astype(float)
+# Point-set families that stress the Gram pruning bound; each draws two sets
+# with shared parameters, so that the sets overlap.
+def _grid_family(rng, sizes, dim):
+    """A small integer grid (width 0 gives a single distinct point):
+    duplicate rows and exact distance ties."""
+    width = rng.integers(0, 4)
+    return [rng.integers(0, width + 1, (n, dim)).astype(float) for n in sizes]
+
+
+def _offset_family(rng, sizes, dim):
+    """Two clusters 1e4 to 1e12 out with a 1e-6 spread: after centring, the
+    Gram terms dwarf every distance inside a cluster."""
+    centres = 10.0 ** rng.uniform(4, 12) * rng.choice([-1.0, 1.0], (2, dim))
+    return [centres[rng.integers(0, 2, n)] + 1e-6 * rng.standard_normal((n, dim))
+            for n in sizes]
+
+
+def _ulp_family(rng, sizes, dim):
+    """Copies of three points, each coordinate moved by at most one ulp."""
+    base = rng.standard_normal((3, dim))
+    out = []
+    for n in sizes:
+        pts = base[rng.integers(0, 3, n)]
+        out.append(np.nextafter(pts, pts + rng.integers(-1, 2, (n, dim))))
+    return out
+
+
+def _huge_family(rng, sizes, dim):
+    """Grid rows, about half scaled by 1e160: squares overflow, so the Gram
+    bound is inf or NaN, while the small rows keep finite distances."""
+    width = rng.integers(1, 4)
+    out = []
+    for n in sizes:
+        pts = rng.integers(0, width + 1, (n, dim)).astype(float)
+        pts[rng.random(n) < 0.5] *= 1e160
+        out.append(pts)
+    return out
+
+
+def _scales_family(rng, sizes, dim):
+    """Rows at their own magnitudes, from subnormal (or zero) to 1e150; half
+    the draws sit near 1e-160, where the squares are subnormal."""
+    if rng.random() < 0.5:
+        centre, spread = rng.uniform(-163, -158), 1.0
+    else:
+        centre, spread = rng.uniform(-320, 140), rng.choice([1.0, 30.0, 300.0])
+    return [rng.standard_normal((n, dim))
+            * 10.0 ** np.minimum(centre + spread * rng.uniform(-1, 1, (n, 1)), 150.0)
+            for n in sizes]
+
+
+FAMILIES = {f.__name__: f for f in (_grid_family, _offset_family, _ulp_family,
+                                     _huge_family, _scales_family)}
+
+
+def _family(data, min_rows, max_rows, dim):
+    family = FAMILIES[data.draw(st.sampled_from(sorted(FAMILIES)))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return family(rng, [data.draw(st.integers(min_rows, max_rows)) for _ in range(2)], dim)
 
 
 # block budgets of one row, a few rows, and the whole matrix at these sizes
 BLOCK_BYTES = st.sampled_from([1, 100, cpa.BLOCK_BYTES])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3), BLOCK_BYTES, st.data())
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), BLOCK_BYTES, st.data())
 def test_precision_recall_matches_full_matrix_oracle(dim, block_bytes, data):
-    real, fake = _grid(data, 2, 40, dim), _grid(data, 2, 40, dim)
+    real, fake = _family(data, 2, 40, dim)
     k_nn = data.draw(st.integers(1, min(len(real), len(fake)) - 1))
     with mock.patch.object(cpa, "BLOCK_BYTES", block_bytes):
         got = precision_recall(SampleSet(real), SampleSet(fake), k_nn)
+        radii = SampleSet(fake).manifold(k_nn)[2]
     assert got == _oracle_precision_recall(real, fake, k_nn)
+    assert np.array_equal(radii, _oracle_manifold(fake, k_nn)[1])
 
 
 def test_precision_recall_single_distinct_point():
@@ -159,9 +217,9 @@ def test_precision_recall_single_distinct_point():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 3), BLOCK_BYTES, st.data())
+@given(st.integers(1, 64), BLOCK_BYTES, st.data())
 def test_cached_reference_matches_fresh_sets(dim, block_bytes, data):
-    real, fake = _grid(data, 2, 30, dim), _grid(data, 2, 30, dim)
+    real, fake = _family(data, 2, 30, dim)
     ks = list(range(1, min(len(real), len(fake))))
     reference = SampleSet(real)
     for k_nn in data.draw(st.permutations(ks + ks)):
@@ -179,9 +237,10 @@ def test_sample_set_points_are_a_read_only_copy():
         s.points[0, 0] = 1.0
 
 
-# precision_recall reads recall off the same fake-by-real distances as
-# precision, which rests on cdist being exactly symmetric, and builds each
-# manifold from row blocks, which rests on a row not depending on its block.
+# precision_recall measures each pair once, fake against real, and scores
+# both directions from it; the oracle measures recall real against fake.
+# They agree only because cdist is exactly symmetric, and a row of cdist
+# does not depend on the other rows passed with it.
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 100), st.integers(0, 2**32 - 1))
 def test_scipy_cdist_transpose_and_row_blocks_are_exact(n_a, n_b, dim, seed):
@@ -192,15 +251,56 @@ def test_scipy_cdist_transpose_and_row_blocks_are_exact(n_a, n_b, dim, seed):
     assert np.array_equal(d[n_a // 2:], cdist(a[n_a // 2:], b))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3), BLOCK_BYTES, st.data())
+# A pair is pruned only if its squared sum s is above _prune_level(r), so
+# even the nearest such s must root to above r, at every magnitude of r.
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_prune_level_proves_distance_above_radius(seed):
+    rng = np.random.default_rng(seed)
+    r = np.append(np.ldexp(rng.uniform(1, 2, 10_000), rng.integers(-1074, 1023, 10_000)), 0.0)
+    with np.errstate(over="ignore"):
+        s = np.nextafter(metrics._prune_level(r), np.inf)
+    assert np.all(np.sqrt(s) > r)
+
+
+# Every distance the metrics compare comes from _pair_distances, so CLI
+# outputs stay byte-identical only while it rounds exactly like cdist.
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 100), st.integers(1, 8), st.integers(1, 8),
+       st.floats(-324, 160), st.booleans(), st.integers(0, 2**32 - 1))
+def test_pair_distances_round_like_cdist(dim, n_a, n_b, log_scale, ties, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n_a, dim)) * 10.0**log_scale
+    b = rng.standard_normal((n_b, dim)) * 10.0**log_scale
+    if ties:   # zero distances, and mirrored pairs at equal distances
+        m = min(n_a, n_b)
+        b[:m] = a[:m]
+        b[m // 2:m] = -a[m // 2:m]
+    i, j = (ix.ravel() for ix in np.indices((n_a, n_b)))
+    with np.errstate(over="ignore"):
+        got = metrics._pair_distances(a[i], b[j]).reshape(n_a, n_b)
+    assert np.array_equal(got, cdist(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), BLOCK_BYTES, st.data())
 def test_nn_distances_matches_full_sort(dim, block_bytes, data):
-    gen, train = _grid(data, 1, 30, dim), _grid(data, 1, 30, dim)
+    gen, train = _family(data, 1, 30, dim)
     d = np.sort(cdist(gen, train), axis=1)
     for j in range(1, len(train) + 1):
         with mock.patch.object(cpa, "BLOCK_BYTES", block_bytes):
             got = nn_distances(SampleSet(gen), SampleSet(train), j)
         assert np.array_equal(got, d[:, :j].mean(axis=1))
+
+
+def test_importing_the_package_leaves_scipy_spatial_unloaded():
+    # cdist is only the tests' oracle; importing scipy.spatial costs start-up
+    # time and memory on every CLI run
+    src = os.path.dirname(os.path.dirname(polarity_sampling.__file__))
+    code = "import sys, polarity_sampling; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_nn_distances_subset_is_zero():

@@ -119,11 +119,7 @@ def _read_points(path):
 
 
 def _write_points(path, pts):
-    header, rows = (
-        [f"x{d}" for d in range(pts.shape[1])],
-        [tuple(float(v) for v in row) for row in np.atleast_2d(pts)],
-    )
-    harness.write_csv(path, header, rows)
+    harness.write_csv(path, [f"x{d}" for d in range(pts.shape[1])], pts.tolist())
 
 
 def _cmd_pool_build(args):
@@ -154,7 +150,7 @@ def _cmd_density_eval(args):
     )
     pts = _read_points(args.points)
     dens = density.analytic_density(atlas, pts, args.rho)
-    rows = [tuple(float(v) for v in x) + (d,) for x, d in zip(pts, dens)]
+    rows = np.column_stack((pts, dens)).tolist()
     header = [f"x{d}" for d in range(pts.shape[1])] + ["density"]
     harness.write_csv(args.out, header, rows)
     print(f"density at {len(rows)} points (rho={args.rho}) -> {args.out}")

@@ -115,19 +115,36 @@ def _check_input(net, z):
     return z, squeeze
 
 
+def _pre_activation(layer, h):
+    """``h @ W.T + b`` in a fresh array, which the activation may overwrite."""
+    pre = h @ layer.weight.T
+    pre += layer.bias
+    return pre
+
+
 def _apply_activation(layer, pre):
-    if layer.activation == "identity":
-        return pre
+    """The activation, written over ``pre`` in place: every caller reads its
+    bits (``pre > 0.0``) first.
+
+    Bit for bit the ``np.where(pre > 0.0, pre, ...)`` form.  Relu: fmax maps
+    NaN to 0 as that does, and keeps the sign of some -0.0 entries, which
+    adding +0.0 clears.  Leaky, 0 < alpha < 1: rounding is monotone, so
+    ``alpha * pre`` lies between 0 and ``pre`` and the larger of the two is
+    the leaky value, ±0.0 and subnormals included.
+    """
     if layer.activation == "relu":
-        return np.where(pre > 0.0, pre, 0.0)
-    return np.where(pre > 0.0, pre, layer.alpha * pre)
+        np.fmax(pre, 0.0, out=pre)
+        pre += 0.0
+    elif layer.activation == "leaky_relu":
+        np.maximum(pre, layer.alpha * pre, out=pre)
+    return pre
 
 
 def forward(net, z):
     """Evaluate the network at ``z`` (a vector, or a batch of row vectors)."""
     h, squeeze = _check_input(net, z)
     for layer in net.layers:
-        h = _apply_activation(layer, h @ layer.weight.T + layer.bias)
+        h = _apply_activation(layer, _pre_activation(layer, h))
     return h[0] if squeeze else h
 
 
@@ -140,7 +157,7 @@ def region_codes(net, z):
     h, _ = _check_input(net, z)
     bits = []
     for layer in net.layers:
-        pre = h @ layer.weight.T + layer.bias
+        pre = _pre_activation(layer, h)
         if layer.nonlinear:
             bits.append(pre > 0.0)
         h = _apply_activation(layer, pre)
@@ -161,15 +178,15 @@ def affine_maps(net, z):
     by the code at each point, so the returned map reproduces ``forward``
     exactly everywhere inside that point's region.
     """
-    h, _ = _check_input(net, z)
-    z0 = h.copy()
+    z0, _ = _check_input(net, z)
+    h = z0
     n = h.shape[0]
     A = np.broadcast_to(
         np.eye(net.input_dim), (n, net.input_dim, net.input_dim)
     ).copy()
     bits = []
     for layer in net.layers:
-        pre = h @ layer.weight.T + layer.bias
+        pre = _pre_activation(layer, h)
         A = layer.weight[None, :, :] @ A
         if layer.nonlinear:
             on = pre > 0.0

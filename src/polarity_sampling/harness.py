@@ -7,7 +7,6 @@ index: on a single-region network every rho then reuses the same draws,
 making "polarity off" and "rho = 0" bit-identical.
 """
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
@@ -141,15 +140,13 @@ class ExperimentConfig:
 
 
 def write_csv(path, header, rows):
-    """CSV with repr-formatted floats: byte-identical across identical runs."""
+    """CSV of rows of Python floats and ints, as ``tolist()`` gives them, with
+    ``csv.writer``'s bytes: fields by ``repr`` (which round-trips a float, and
+    is ``str`` for an int) and "\r\n" line ends.  Identical runs give
+    identical bytes."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                 for v in row]
-            )
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _load(config):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cpa
-from .errors import InputError
+from .errors import InputError, finite_array
 
 _COV_REG = 1e-10   # ridge on the covariance of a set of at most D points
 _EPS = np.finfo(np.float64).eps
@@ -168,22 +168,28 @@ def _psd_sqrt(mat):
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def frechet_distance(a, b):
     """2-Wasserstein distance between Gaussians fitted to the two sets.
 
     ||mu_a - mu_b||^2 + tr(S_a + S_b - 2 (S_a S_b)^(1/2)); the matrix square
     root is taken on the symmetrized product S_a^(1/2) S_b S_a^(1/2), with
-    round-off negatives clamped at zero.
+    round-off negatives clamped at zero.  Points so far apart that a
+    covariance or the distance overflows raise FloatingPointError.
     """
     if a.dim != b.dim:
         raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
     mu_a, cov_a = _mean_cov(a.points)
     mu_b, cov_b = _mean_cov(b.points)
+    for cov in (cov_a, cov_b):
+        finite_array(cov, "a covariance of the point sets", FloatingPointError)
     sa = _psd_sqrt(cov_a)
     inner = sa @ cov_b @ sa
+    finite_array(inner, "the covariance product", FloatingPointError)
     vals = np.clip(np.linalg.eigvalsh((inner + inner.T) / 2.0), 0.0, None)
     cross = 2.0 * np.sum(np.sqrt(vals))
     d = float(np.sum((mu_a - mu_b) ** 2) + np.trace(cov_a) + np.trace(cov_b) - cross)
+    finite_array(d, "the Frechet distance", FloatingPointError)
     return max(d, 0.0)
 
 
@@ -223,6 +229,7 @@ def precision_recall(real, fake, k_nn=3):
     return float(precision), float(recall)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nn_distances(generated, training, j=3):
     """Per generated point, mean Euclidean distance to its j nearest training points."""
     if generated.dim != training.dim:
@@ -259,11 +266,22 @@ def path_length(net, sampler, epsilon, n_pairs, seed, feature_net=None):
     return np.sum((np.atleast_2d(x1) - np.atleast_2d(x0)) ** 2, axis=1) / epsilon**2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nn_summary(distances):
-    hist, edges = np.histogram(distances, bins=20)
+    """Mean, median and 20-bin histogram of nearest-neighbour distances;
+    FloatingPointError if a distance, the mean or the median is not finite,
+    or if the range is too narrow for 20 bins at its magnitude."""
+    finite_array(distances, "nearest-neighbour distances", FloatingPointError)
+    try:
+        hist, edges = np.histogram(distances, bins=20)
+    except ValueError as exc:
+        raise FloatingPointError(f"nearest-neighbour histogram: {exc}") from exc
+    mean, median = float(np.mean(distances)), float(np.median(distances))
+    finite_array([mean, median], "the nearest-neighbour mean and median",
+                 FloatingPointError)
     return {
-        "mean": float(np.mean(distances)),
-        "median": float(np.median(distances)),
+        "mean": mean,
+        "median": median,
         "histogram": {
             "edges": [float(e) for e in edges],
             "counts": [int(c) for c in hist],

@@ -370,11 +370,27 @@ class PolaritySampler:
 
 
 def sample_batch(sampler, s, seed):
-    """S categorical draws (with replacement) from the pool latents."""
+    """S categorical draws (with replacement) from the pool latents.
+
+    For a given seed the draws are exactly ``pool.latents[idx]`` with
+    ``idx = np.random.default_rng(seed).choice(n, size=s, p=weights)``: the
+    same CDF, inverted at the same uniforms.  Each block of uniforms is
+    sorted before the binary search, so the searches walk the CDF in order
+    instead of missing cache; the index found for a key does not depend on
+    the order of the keys.
+    """
     if s < 1:
         raise InputError("need at least one sample")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(sampler.pool.n, size=s, p=sampler.weights)
+    cdf = sampler.weights.cumsum()   # as Generator.choice builds it
+    cdf /= cdf[-1]
+    idx = np.empty(s, dtype=np.int64)
+    # per draw: its uniform, its rank, the sorted key and the found index
+    for rows in cpa.row_blocks(s, 4 * 8):
+        block = idx[rows]
+        u = rng.random(block.shape[0])
+        order = np.argsort(u)
+        block[order] = cdf.searchsorted(u[order], side="right")
     return sampler.pool.latents[idx]
 
 

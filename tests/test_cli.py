@@ -284,6 +284,21 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert set(report) >= {"frechet", "precision", "recall"}
 
 
+@pytest.mark.parametrize("generated, reference", [
+    ("1e200,0\n-1e200,0\n3e200,1\n", "0,0\n1,1\n2,2\n5e200,0\n"),  # overflows
+    ("1e20,0\n1e20,0\n1e20,0\n", "0,0\n1,1\n2,2\n"),   # no 20 bins fit at 1e20
+], ids=["overflow", "histogram_range"])
+def test_metrics_on_extreme_points_exits_3(generated, reference, tmp_path, capsys):
+    gen, ref = tmp_path / "gen.csv", tmp_path / "ref.csv"
+    gen.write_text(generated)
+    ref.write_text(reference)
+    rc = main(["metrics", "--generated", str(gen), "--reference", str(ref),
+               "--k-nn", "1", "--j", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("numerical error: ") and "Traceback" not in err
+
+
 def test_missing_config_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pareto", "--out", "x.csv"])

@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarity_sampling import (
     CpaNetwork, InputError, Layer, ValidationError,
     affine_maps, compose, fingerprint, forward, identity_net,
     load_model, region_codes, save_model,
 )
-from polarity_sampling import zoo
+from polarity_sampling import cpa, zoo
 
 
 def linear_net(w, b=None, name="lin"):
@@ -271,3 +272,63 @@ def test_layer_names_the_rule_it_enforces():
 def test_leaky_alpha_range_enforced():
     with pytest.raises(ValidationError):
         Layer(np.eye(1), np.zeros(1), "leaky_relu", alpha=1.5)
+
+
+def _where_walk(net, z):
+    """Reference layer walk with np.where activations: (output, A, b, bits)."""
+    h = z0 = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    n, k = h.shape
+    A = np.broadcast_to(np.eye(k), (n, k, k)).copy()
+    bits = []
+    for layer in net.layers:
+        pre = h @ layer.weight.T + layer.bias
+        A = layer.weight[None, :, :] @ A
+        if layer.activation == "identity":
+            h = pre
+            continue
+        on = pre > 0.0
+        bits.append(on)
+        if layer.activation == "relu":
+            h = np.where(on, pre, 0.0)
+            A *= np.where(on, 1.0, 0.0)[:, :, None]
+        else:
+            h = np.where(on, pre, layer.alpha * pre)
+            A *= np.where(on, 1.0, layer.alpha)[:, :, None]
+    b = h - np.einsum("ndk,nk->nd", A, z0)
+    bits = np.concatenate(bits, axis=1) if bits else np.zeros((n, 0), dtype=bool)
+    return h, A, b, bits
+
+
+# pre-activations of these inputs under zero or tiny biases are ±0.0 or subnormal
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 2.2250738585072014e-308]
+
+
+@pytest.mark.parametrize("activation, alpha",
+                         [("relu", 0.0), ("leaky_relu", 0.2), ("leaky_relu", 0.999)])
+def test_in_place_activation_matches_where_form_bit_for_bit(activation, alpha):
+    # a run of -0.0: fmax keeps the sign of some zeros and drops it from others,
+    # by their position in its vector loop
+    pre = np.array(_TINY + [-1e-310, -1.5, 2.0, np.inf, -np.inf, np.nan] + [-0.0] * 33)
+    slope = 0.0 if activation == "relu" else alpha * pre
+    expected = np.where(pre > 0.0, pre, slope)
+    layer = Layer(np.eye(1), np.zeros(1), activation, alpha)
+    assert cpa._apply_activation(layer, pre.copy()).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, -0.0, 1e-310, 1.0]),
+       st.booleans(), st.data())
+def test_layer_walk_matches_where_reference_bit_for_bit(seed, bias_scale, tiny, data):
+    base = zoo.random_net(seed)
+    net = CpaNetwork(base.name, tuple(
+        Layer(l.weight, bias_scale * l.bias, l.activation, l.alpha) for l in base.layers))
+    n, k = data.draw(st.integers(1, 6)), net.input_dim
+    entry = st.sampled_from(_TINY) if tiny else st.sampled_from(_TINY) | st.floats(-2, 2)
+    z = np.array(data.draw(st.lists(entry, min_size=n * k, max_size=n * k))).reshape(n, k)
+    out, A, b, bits = _where_walk(net, z)
+    got_A, got_b, got_bits = affine_maps(net, z)
+    assert forward(net, z).tobytes() == out.tobytes()
+    assert got_A.tobytes() == A.tobytes()
+    assert got_b.tobytes() == b.tobytes()
+    assert np.array_equal(got_bits, bits)
+    assert np.array_equal(region_codes(net, z), bits)

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 
 import numpy as np
@@ -241,3 +243,21 @@ def test_write_csv_byte_stable(tmp_path):
     write_csv(p2, ["x", "y", "n"], rows)
     assert p1.read_bytes() == p2.read_bytes()
     assert "3.141592653589793" in p1.read_text()
+
+
+def test_write_csv_matches_csv_writer_bytes(tmp_path):
+    rng = np.random.default_rng(3)
+    rows = [(-0.0, 5e-324, 1e300, 3), (0.1, -2.5e-7, float("inf"), 2**63),
+            (float("nan"), -1e-310, 1e16, -7)]
+    rows += [tuple(r) + (i,) for i, r in enumerate(rng.standard_normal((50, 3)).tolist())]
+    header = ["a", "b", "c", "seed"]
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+    out = tmp_path / "out.csv"
+    write_csv(out, header, rows)
+    digest = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, reference)]
+    assert digest[0] == digest[1]

@@ -416,3 +416,22 @@ def test_sample_set_validation():
         SampleSet(np.empty((0, 2)))
     with pytest.raises(InputError):
         SampleSet(np.array([[np.inf, 0.0]]))
+
+
+def test_overflowing_points_raise_floating_point_error():
+    far = SampleSet(np.array([[1e200, 0.0], [-1e200, 0.0], [3e200, 1.0]]))
+    near = SampleSet(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+    with pytest.raises(FloatingPointError, match="covariance"):
+        frechet_distance(near, far)
+    # finite covariances, but the mean gap squared overflows
+    apart = SampleSet(np.array([[2e154, 0.0], [2e154, 1.0], [2e154, 2.0]]))
+    with pytest.raises(FloatingPointError, match="Frechet"):
+        frechet_distance(near, apart)
+
+
+def test_nn_summary_refuses_non_finite_values():
+    # an inf; no 20 bins between equal 1e20s; a mean that overflows
+    for distances in ([1.0, np.inf], [1e20, 1e20], [0.0, 1.7e308, 1.7e308]):
+        with pytest.raises(FloatingPointError, match="nearest-neighbour"):
+            metrics.nn_summary(np.array(distances))
+    assert metrics.nn_summary(np.array([1.0, 3.0]))["mean"] == 2.0

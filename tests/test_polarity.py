@@ -177,6 +177,34 @@ def test_determinism_bit_for_bit():
     assert np.array_equal(s1, s2)
 
 
+
+# one more draw than fits in a block of 8-byte rows: crosses a block boundary
+_CROSSING_S = cpa.BLOCK_BYTES // 8 + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["single", "tied", "underflow", "spread"]),
+       st.integers(1, 300) | st.just(_CROSSING_S), st.integers(0, 2**32 - 1), st.data())
+def test_sample_batch_equals_generator_choice(family, s, seed, data):
+    n = 1 if family == "single" else data.draw(st.integers(2, 60))
+    rng = np.random.default_rng(seed)
+    if family == "tied":
+        lvs = rng.choice([-0.5, 1.25], size=n)
+    else:
+        lvs = rng.permutation(np.linspace(0.0, 10.0, n))
+    rho = data.draw(st.sampled_from([-1e3, -200.0, 200.0, 1e3]) if family == "underflow"
+                    else st.floats(-3.0, 3.0))
+    sampler = PolaritySampler(pool_from_log_volumes(lvs), rho)
+    if family == "underflow":
+        assert np.any(sampler.weights == 0.0)
+    # small budgets put block boundaries inside short draws
+    budget = cpa.BLOCK_BYTES if s == _CROSSING_S else data.draw(
+        st.sampled_from([cpa.BLOCK_BYTES, 1, 100]))
+    with mock.patch.object(cpa, "BLOCK_BYTES", budget):
+        got = sample_batch(sampler, s, seed)
+    idx = np.random.default_rng(seed).choice(n, size=s, p=sampler.weights)
+    assert got.tobytes() == sampler.pool.z[idx].tobytes()
+
 def _domains(dim):
     return {
         "box": LatentDomain("uniform_box", lo=-np.ones(dim), hi=np.ones(dim)),

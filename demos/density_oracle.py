@@ -19,7 +19,7 @@ domain = zoo.two_piece_domain()
 atlas = enumerate_regions(net, domain, resolution=64)
 print(f"atlas: {len(atlas.regions)} regions, complete={atlas.complete}")
 for region in atlas.regions:
-    print(f"  slope {region.sigma[0]:4.2f}, prior mass {region.prior_mass:.2f}, "
+    print(f"  slope {np.exp(region.log_pdet):4.2f}, prior mass {region.prior_mass:.2f}, "
           f"image offset {region.offset[0]:+.2f}")
 
 print("\nanalytic density at x = -1 (stretched side) and x = 0.25 (compressed):")

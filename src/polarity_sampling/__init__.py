@@ -14,7 +14,7 @@ from .cpa import (
 )
 from .density import (
     Histogram, RegionAtlas, analytic_density, enumerate_regions, mc_density,
-    normalization_constant, total_variation,
+    normalization_constant, pseudo_log_det_sqrt, total_variation,
 )
 from .errors import (
     ConfigError, InputError, PolarityError, SamplingTimeout, ScaleError,
@@ -29,7 +29,6 @@ from .polarity import (
     LatentDomain, OnlineSampler, PolaritySampler, SamplePool, build_pool,
     polarity_weights, region_log_volumes, sample_batch,
 )
-from .spectral import pseudo_log_det_sqrt
 from .synth import SyntheticDataset
 
 __version__ = "0.1.0"

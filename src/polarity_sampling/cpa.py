@@ -115,13 +115,6 @@ def _check_input(net, z):
     return z, squeeze
 
 
-def _pre_activation(layer, h):
-    """``h @ W.T + b`` in a fresh array, which the activation may overwrite."""
-    pre = h @ layer.weight.T
-    pre += layer.bias
-    return pre
-
-
 def _apply_activation(layer, pre):
     """The activation, written over ``pre`` in place: every caller reads its
     bits (``pre > 0.0``) first.
@@ -140,11 +133,23 @@ def _apply_activation(layer, pre):
     return pre
 
 
+def _layers(net, h):
+    """The one layer walk: yields ``(layer, pre)``, ``pre = h @ W.T + b`` in a
+    fresh array, and on resume writes the activation over ``pre`` and carries
+    it on as the next layer's input.  Callers read ``pre > 0.0`` before
+    resuming; once the walk ends, the array last yielded holds the output."""
+    for layer in net.layers:
+        pre = h @ layer.weight.T
+        pre += layer.bias
+        yield layer, pre
+        h = _apply_activation(layer, pre)
+
+
 def forward(net, z):
     """Evaluate the network at ``z`` (a vector, or a batch of row vectors)."""
     h, squeeze = _check_input(net, z)
-    for layer in net.layers:
-        h = _apply_activation(layer, _pre_activation(layer, h))
+    for _, h in _layers(net, h):
+        pass
     return h[0] if squeeze else h
 
 
@@ -155,19 +160,8 @@ def region_codes(net, z):
     zero lands on the "off" branch.
     """
     h, _ = _check_input(net, z)
-    bits = []
-    for layer in net.layers:
-        pre = _pre_activation(layer, h)
-        if layer.nonlinear:
-            bits.append(pre > 0.0)
-        h = _apply_activation(layer, pre)
-    return _join_bits(bits, h.shape[0])
-
-
-def _join_bits(bits, n):
-    if not bits:
-        return np.zeros((n, 0), dtype=bool)
-    return np.concatenate(bits, axis=1)
+    bits = [pre > 0.0 for layer, pre in _layers(net, h) if layer.nonlinear]
+    return np.concatenate([np.zeros((h.shape[0], 0), dtype=bool), *bits], axis=1)
 
 
 def affine_maps(net, z):
@@ -179,23 +173,18 @@ def affine_maps(net, z):
     exactly everywhere inside that point's region.
     """
     z0, _ = _check_input(net, z)
-    h = z0
-    n = h.shape[0]
-    A = np.broadcast_to(
-        np.eye(net.input_dim), (n, net.input_dim, net.input_dim)
-    ).copy()
-    bits = []
-    for layer in net.layers:
-        pre = _pre_activation(layer, h)
+    n, K = z0.shape
+    A = np.broadcast_to(np.eye(K), (n, K, K)).copy()
+    bits = [np.zeros((n, 0), dtype=bool)]
+    for layer, h in _layers(net, z0):
         A = layer.weight[None, :, :] @ A
         if layer.nonlinear:
-            on = pre > 0.0
+            on = h > 0.0
             bits.append(on)
             scale = np.where(on, 1.0, 0.0 if layer.activation == "relu" else layer.alpha)
             A *= scale[:, :, None]
-        h = _apply_activation(layer, pre)
     b = h - np.einsum("ndk,nk->nd", A, z0)
-    return A, b, _join_bits(bits, n)
+    return A, b, np.concatenate(bits, axis=1)
 
 
 def compose(inner, outer):

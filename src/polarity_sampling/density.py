@@ -15,7 +15,22 @@ import numpy as np
 
 from . import cpa
 from .errors import InputError, ScaleError, StateError
-from .spectral import RANK_RTOL, pseudo_log_det_sqrt
+
+# relative cutoff below which singular values count as zero in pseudo-determinants
+RANK_RTOL = 1e-10
+
+
+def pseudo_log_det_sqrt(sigma):
+    """log of the product of nonzero singular values (pseudo-det to the 1/2).
+
+    Values below ``RANK_RTOL * sigma_max`` are treated as exact zeros and skipped.
+    Returns 0.0 for the all-zero matrix (empty product).
+    """
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if sigma.size == 0 or sigma.max() == 0.0:
+        return 0.0
+    keep = sigma > RANK_RTOL * sigma.max()
+    return float(np.sum(np.log(sigma[keep])))
 
 
 @dataclass(frozen=True)
@@ -24,7 +39,7 @@ class AtlasRegion:
     rep_z: np.ndarray          # a probe point inside the region
     slope: np.ndarray          # (D, K): the network is slope @ z + offset here
     offset: np.ndarray         # (D,)
-    sigma: np.ndarray          # full singular spectrum of the slope
+    log_pdet: float            # log det(slope^T slope)^(1/2), nonzero sigmas only
     prior_mass: float          # fraction of the latent box in this region
     pinv: np.ndarray           # Moore-Penrose pseudo-inverse of the slope
 
@@ -40,7 +55,7 @@ class RegionAtlas:
 
     def log_pseudo_dets(self):
         """Per-region log of det(A^T A)^(1/2) (product of nonzero sigmas)."""
-        return np.array([pseudo_log_det_sqrt(r.sigma) for r in self.regions])
+        return np.array([r.log_pdet for r in self.regions])
 
 
 def _grid_points(domain, resolution):
@@ -122,7 +137,7 @@ def enumerate_regions(net, domain, resolution=64, seed=0):
                 rep_z=z,
                 slope=A[0],
                 offset=b[0],
-                sigma=np.linalg.svd(A[0], compute_uv=False),
+                log_pdet=pseudo_log_det_sqrt(np.linalg.svd(A[0], compute_uv=False)),
                 prior_mass=float(mass),
                 pinv=np.linalg.pinv(A[0], rcond=RANK_RTOL),
             )
@@ -170,7 +185,7 @@ def analytic_density(atlas, x, rho):
         ok = atlas.domain.contains(z_star)
         ok &= np.linalg.norm(z_star @ A.T + b - xs, axis=1) <= tol
         ok[ok] = np.all(cpa.region_codes(atlas.net, z_star[ok]) == region.code, axis=1)
-        w = np.exp((rho - 1.0) * pseudo_log_det_sqrt(region.sigma))
+        w = np.exp((rho - 1.0) * region.log_pdet)
         total += np.where(ok, w, 0.0)
     total /= normalization_constant(atlas, rho)
     return float(total[0]) if x.ndim == 1 else total

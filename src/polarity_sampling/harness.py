@@ -19,8 +19,7 @@ from .metrics import (
     SampleSet, frechet_distance, nn_distances, nn_summary, path_length,
     precision_recall,
 )
-from .polarity import LatentDomain, PolaritySampler, build_pool, sample_batch
-from .spectral import DEFAULT_EPS
+from .polarity import DEFAULT_EPS, LatentDomain, PolaritySampler, build_pool, sample_batch
 from .synth import SyntheticDataset
 
 
@@ -161,7 +160,7 @@ def _pool_for(config, net, feature_net, domain, seed):
 
 def _generate(config, net, pool, rho, seed):
     zs = sample_batch(PolaritySampler(pool, rho), config.s, seed)
-    return np.atleast_2d(cpa.forward(net, zs))
+    return cpa.forward(net, zs)
 
 
 def run_pareto(config):
@@ -217,7 +216,7 @@ def run_modes(config, rho_extreme=None):
     sampler = PolaritySampler(pool, rho)
     order = np.argsort(-sampler.weights, kind="stable")[: config.m_top]
     latents = pool.latents[order]
-    outputs = np.atleast_2d(cpa.forward(net, latents))
+    outputs = cpa.forward(net, latents)
     report = {
         "rho": float(rho),
         "seed": config.seed,

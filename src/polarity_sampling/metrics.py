@@ -152,14 +152,12 @@ class SampleSet:
 
 
 def _mean_cov(points):
-    mu = points.mean(axis=0)
-    if points.shape[0] <= points.shape[1]:
+    n, d = points.shape
+    cov = np.cov(points, rowvar=False).reshape(d, d)
+    if n <= d:
         # too few points for a full-rank covariance; regularize instead of failing
-        cov = np.cov(points, rowvar=False).reshape(points.shape[1], points.shape[1])
-        cov = cov + _COV_REG * np.eye(points.shape[1])
-    else:
-        cov = np.atleast_2d(np.cov(points, rowvar=False))
-    return mu, cov
+        cov = cov + _COV_REG * np.eye(d)
+    return points.mean(axis=0), cov
 
 
 def _psd_sqrt(mat):
@@ -263,7 +261,7 @@ def path_length(net, sampler, epsilon, n_pairs, seed, feature_net=None):
     if feature_net is not None:
         x0 = cpa.forward(feature_net, x0)
         x1 = cpa.forward(feature_net, x1)
-    return np.sum((np.atleast_2d(x1) - np.atleast_2d(x0)) ** 2, axis=1) / epsilon**2
+    return np.sum((x1 - x0) ** 2, axis=1) / epsilon**2
 
 
 @np.errstate(over="ignore", invalid="ignore")

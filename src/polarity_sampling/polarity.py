@@ -20,8 +20,9 @@ from .errors import (
     ConfigError, InputError, SamplingTimeout, StateError, ValidationError,
     finite_array, read_json,
 )
-from .spectral import DEFAULT_EPS, batch_top_k_singular_values
+from .spectral import batch_top_k_singular_values
 
+DEFAULT_EPS = 1e-12
 POOL_FORMAT_VERSION = 2
 # pool file fields: header JSON types, then base64 columns with their dtypes
 _POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
@@ -175,6 +176,9 @@ class SamplePool:
             raise ValidationError("pool is empty: it holds no latents")
         if not np.all(np.isfinite(lvs)):
             raise ValidationError("pool log-volumes must be finite")
+        if self.seed < 0 or self.k < 1 or not 0.0 < self.eps < np.inf:
+            raise ValidationError(f"pool needs seed >= 0, k >= 1 and a finite eps > 0, "
+                                  f"got seed={self.seed}, k={self.k}, eps={self.eps}")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "log_volumes", lvs)
         object.__setattr__(self, "codes", codes)
@@ -291,6 +295,12 @@ def region_log_volumes(net, zs, k, eps):
     return lvs, bits
 
 
+def _check_rows(count, row_bytes, what):
+    """InputError unless ``count`` rows of ``row_bytes`` fit in one numpy array."""
+    if count > np.iinfo(np.intp).max // row_bytes:
+        raise InputError(f"{what}={count} rows of {row_bytes} bytes exceed any array")
+
+
 def build_pool(net, domain, n, k, seed, feature_net=None, eps=DEFAULT_EPS):
     """Draw n latents i.i.d. from the domain and score each one's region.
 
@@ -304,6 +314,7 @@ def build_pool(net, domain, n, k, seed, feature_net=None, eps=DEFAULT_EPS):
         raise InputError(
             f"domain dim {domain.dim} does not match network input {eff.input_dim}"
         )
+    _check_rows(n, 8 * (eff.input_dim + 1) + eff.num_units, "n")   # z, score, bits
     # every slope factors through each layer, so its rank is at most the
     # narrowest width; singular values past it are exact zeros
     widths = [eff.input_dim] + [layer.out_dim for layer in eff.layers]
@@ -381,6 +392,7 @@ def sample_batch(sampler, s, seed):
     """
     if s < 1:
         raise InputError("need at least one sample")
+    _check_rows(s, 8 * (sampler.pool.domain.dim + 1), "s")   # each draw and its index
     rng = np.random.default_rng(seed)
     cdf = sampler.weights.cumsum()   # as Generator.choice builds it
     cdf /= cdf[-1]

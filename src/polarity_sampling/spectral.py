@@ -1,17 +1,12 @@
-"""Singular-value machinery for per-region slope matrices.
+"""Batched top-k singular values of per-region slope matrices.
 
 The per-candidate score of the batch sampler is the log-volume
-``sum_i log(sigma_i + eps)`` over the top-k singular values of the region's
-slope matrix; everything here feeds that computation.
+``sum_i log(sigma_i + eps)`` over these values.
 """
 
 import numpy as np
 
 from .errors import InputError
-
-DEFAULT_EPS = 1e-12
-# relative cutoff below which singular values count as zero in pseudo-determinants
-RANK_RTOL = 1e-10
 
 
 def batch_top_k_singular_values(As, k):
@@ -22,16 +17,3 @@ def batch_top_k_singular_values(As, k):
     if not (1 <= k <= min(As.shape[1:])):
         raise InputError(f"k={k} outside [1, min{As.shape[1:]}]")
     return np.linalg.svd(As, compute_uv=False)[:, :k]
-
-
-def pseudo_log_det_sqrt(sigma):
-    """log of the product of nonzero singular values (pseudo-det to the 1/2).
-
-    Values below ``RANK_RTOL * sigma_max`` are treated as exact zeros and skipped.
-    Returns 0.0 for the all-zero matrix (empty product).
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.size == 0 or sigma.max() == 0.0:
-        return 0.0
-    keep = sigma > RANK_RTOL * sigma.max()
-    return float(np.sum(np.log(sigma[keep])))

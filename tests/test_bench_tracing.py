@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from polarity_sampling import polarity, zoo
+from polarity_sampling import density, polarity, zoo
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -37,3 +37,21 @@ def test_tracer_patches_and_restores_every_site(tracing):
     spans = {name for name, *_ in tracer.spans}
     assert {"polarity.build_pool", "cpa.affine_maps", "spectral.svd"} <= spans
     assert np.isfinite(tracer.layer_totals()["covered_s"])
+
+
+def test_tracer_records_density_and_draw_spans(tracing):
+    net, domain = zoo.two_piece_net(), zoo.two_piece_domain()
+    pool = polarity.build_pool(net, domain, 50, 1, seed=0)
+    with tracing.Tracer().installed() as tracer:
+        atlas = density.enumerate_regions(net, domain, 32, seed=0)
+        density.analytic_density(atlas, np.array([[-1.0], [0.25]]), -1.0)
+        draws = polarity.sample_batch(polarity.PolaritySampler(pool, -1.0), 20, seed=1)
+        density.mc_density(net, draws, [np.linspace(-2.0, 0.5, 6)])
+    spans = {name for name, *_ in tracer.spans}
+    assert {"density.enumerate_regions", "cpa.region_codes", "cpa.affine_maps",
+            "density.analytic_density", "polarity.weights", "polarity.sample_batch",
+            "polarity.latents", "density.mc_density", "cpa.forward"} <= spans
+    totals = tracer.layer_totals()
+    assert totals["density.enumerate_regions.regions"] == 2
+    assert totals["polarity.sample_batch.rows"] == 20
+    assert totals["cpa.forward.rows"] == 20

@@ -435,6 +435,10 @@ MALFORMED_POOLS = {
     "inf_log_volume": _set("log_volumes", lambda doc: _b64(
         [0.0] * (doc["n"] - 1) + [-np.inf])),
     "empty_pool": lambda doc: {**doc, "n": 0, "z": "", "log_volumes": "", "codes": ""},
+    "negative_seed": _set("seed", -5),
+    "k_zero": _set("k", 0),
+    "eps_negative": _set("eps", -1.0),
+    "eps_nan": _set("eps", float("nan")),
 }
 
 
@@ -703,3 +707,43 @@ def test_sampling_timeout_exits_3(workdir, monkeypatch, capsys):
                "--out", str(workdir / "x.csv")])
     assert rc == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+# 2**62 rows of 16 bytes or more exceed the largest array numpy can index;
+# each count is refused before anything is allocated
+HUGE = 2**62
+
+
+@pytest.mark.parametrize("command, field", [("sample", "s"), ("pool build", "n"),
+                                            ("pareto", "n"), ("pareto", "s")])
+def test_oversized_count_exits_2(command, field, workdir, capsys):
+    cfg, pool = workdir / "cfg.json", workdir / "pool.json"
+    main(["pool", "build", "--config", str(cfg), "--out", str(pool)])
+    if command == "sample":
+        argv = ["sample", "--pool", str(pool), "--model", str(workdir / "bimodal.json"),
+                "--rho", "0.0", "--s", str(HUGE)]
+    else:
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), field: HUGE}))
+        argv = [*command.split(), "--config", str(cfg)]
+    capsys.readouterr()
+    rc = main(argv + ["--out", str(workdir / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and f"{field}={HUGE}" in err
+
+
+def test_memory_error_exits_2(workdir, monkeypatch, capsys):
+    import polarity_sampling.cli as cli
+
+    def boom(sampler, s, seed):
+        raise MemoryError("Unable to allocate 32.0 GiB")
+
+    pool = workdir / "pool.json"
+    main(["pool", "build", "--config", str(workdir / "cfg.json"), "--out", str(pool)])
+    monkeypatch.setattr(cli, "sample_batch", boom)
+    capsys.readouterr()
+    rc = main(["sample", "--pool", str(pool), "--model", str(workdir / "bimodal.json"),
+               "--rho", "0.0", "--s", "10", "--out", str(workdir / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Unable to allocate" in err

@@ -208,3 +208,21 @@ def test_mc_density_input_errors():
         mc_density(net, np.empty((0, 1)), [np.linspace(0, 1, 5)])
     with pytest.raises(InputError):
         mc_density(net, np.zeros((10, 1)), [np.array([0.0, 0.0, 1.0])])
+
+
+@pytest.mark.parametrize("make_net, make_domain", [
+    (zoo.two_piece_net, zoo.two_piece_domain),
+    (zoo.ramp_2d_net, zoo.ramp_2d_domain),
+    (zoo.abs_net, zoo.two_piece_domain),
+])
+def test_region_log_pdet_matches_gram_determinant(make_net, make_domain):
+    # oracle: 0.5 log det(A^T A), straight from each region's full-rank slope
+    atlas = enumerate_regions(make_net(), make_domain(), 64)
+    assert len(atlas.regions) == 2
+    expected = []
+    for region in atlas.regions:
+        A = region.slope
+        assert np.linalg.matrix_rank(A) == A.shape[1]
+        expected.append(0.5 * np.log(np.linalg.det(A.T @ A)))
+        np.testing.assert_allclose(region.log_pdet, expected[-1], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(atlas.log_pseudo_dets(), expected, rtol=1e-12, atol=1e-15)

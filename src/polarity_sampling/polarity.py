@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import cpa
 from .errors import (
@@ -99,7 +98,10 @@ class LatentDomain:
         if self.psi is None:
             return self.mean + self.std * rng.standard_normal((n, self.dim))
         # the psi-box factorizes per axis: invert each axis's normal CDF
-        # between the two box edges
+        # between the two box edges.  scipy loads here, on the first
+        # truncated draw, so the untruncated CLI runs never import it.
+        from scipy.special import ndtr, ndtri
+
         u = rng.uniform(ndtr(-2.0 * self.psi), ndtr(2.0 * self.psi), size=(n, self.dim))
         return self.mean + self.std * ndtri(u)
 
@@ -432,6 +434,9 @@ class OnlineSampler:
         self._accepted = 0
 
     def draw(self, s):
+        if s < 1:
+            raise InputError("need at least one sample")
+        _check_rows(s, 8 * self.pool.domain.dim, "s")
         out = np.empty((s, self.pool.domain.dim))
         filled = 0
         rejections = 0

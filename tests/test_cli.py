@@ -1,10 +1,14 @@
 import base64
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polarity_sampling
 from polarity_sampling import (
     CpaNetwork, ExperimentConfig, Layer, SamplePool, compose, fingerprint,
     region_log_volumes, save_model, write_csv, zoo,
@@ -197,6 +201,19 @@ def _report_bytes(name, workdir, capsys):
 def test_report_golden_outputs(name, workdir, capsys):
     digest = hashlib.sha256(_report_bytes(name, workdir, capsys)).hexdigest()
     assert digest == REPORT_GOLDEN[name]
+
+
+# `pareto` over psi in {1, 0.7} on the fixture config: pins the truncated
+# prior's draws as they reach a report.
+PARETO_PSI_GOLDEN = "031f0fe8bb95b6be007e30d02b9d57b3ceeb31944e765f0c71dba2d5c64f6004"
+
+
+def test_pareto_truncated_golden_output(workdir, capsys):
+    doc = json.loads((workdir / "cfg.json").read_text())
+    doc.update(psi_grid=[1.0, 0.7])
+    (workdir / "cfg.json").write_text(json.dumps(doc))
+    digest = hashlib.sha256(_report_bytes("pareto", workdir, capsys)).hexdigest()
+    assert digest == PARETO_PSI_GOLDEN
 
 
 def test_sample_refuses_mismatched_model(workdir, tmp_path, capsys):
@@ -747,3 +764,38 @@ def test_memory_error_exits_2(workdir, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "Unable to allocate" in err
+
+
+def _scipy_modules_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(polarity_sampling.__file__))
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+# scipy costs every CLI process start-up time and memory; only the psi < 1
+# prior needs it (scipy.special's ndtr and ndtri)
+@pytest.mark.parametrize("module", ["polarity_sampling", "polarity_sampling.cli"])
+def test_importing_loads_no_scipy(module):
+    assert _scipy_modules_after(f"import {module}") == []
+
+
+def test_untruncated_pool_build_and_sample_load_no_scipy(workdir):
+    cfg, model, pool = (str(workdir / f) for f in ("cfg.json", "bimodal.json", "pool.json"))
+    draws = str(workdir / "draws.csv")
+    code = (
+        "from polarity_sampling import cli\n"
+        f"assert cli.main(['pool', 'build', '--config', {cfg!r}, '--out', {pool!r}]) == 0\n"
+        f"assert cli.main(['sample', '--pool', {pool!r}, '--model', {model!r}, "
+        f"'--rho', '-1.0', '--s', '50', '--out', {draws!r}]) == 0"
+    )
+    assert _scipy_modules_after(code) == []
+
+
+def test_first_truncated_draw_loads_scipy_special():
+    code = ("import numpy as np\nfrom polarity_sampling import zoo\n"
+            "zoo.bimodal_domain().truncate(0.7).sample(10, np.random.default_rng(0))")
+    assert "scipy.special" in _scipy_modules_after(code)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from polarity_sampling import (
     ConfigError, CpaNetwork, InputError, LatentDomain, Layer, OnlineSampler,
@@ -288,6 +289,14 @@ def test_online_envelope_violation_raises():
     assert np.mean(zs[:, 0] < 0) >= 0.99
 
 
+@pytest.mark.parametrize("s", [0, -1, 2**62])
+def test_online_draw_refuses_counts_outside_one_array(s):
+    net = zoo.two_piece_net()
+    pool = build_pool(net, zoo.two_piece_domain(), 100, 1, seed=5)
+    with pytest.raises(InputError):
+        OnlineSampler(pool, net, -1.0, seed=6).draw(s)
+
+
 def test_batch_online_agreement():
     net = zoo.two_piece_net()
     pool = build_pool(net, zoo.two_piece_domain(), 5000, 1, seed=7)
@@ -327,6 +336,20 @@ def test_truncation_exact_in_high_dimension():
     assert np.all(np.abs(u.var(axis=0) / var - 1.0) < 0.05)
     assert abs(u.var() / var - 1.0) < 0.005
     assert stats.kstest(u.ravel(), stats.truncnorm(-1.0, 1.0).cdf).pvalue > 0.01
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1e-3, 1.0) | st.sampled_from([0.5, 0.7, 1.0]), st.integers(1, 64),
+       st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_truncated_draws_are_inverse_cdf_bytes(psi, dim, n, seed):
+    # pins the psi < 1 prior's RNG stream and rounding at any latent dimension
+    params = np.random.default_rng((seed, 1))
+    mean, std = params.standard_normal(dim), params.uniform(0.1, 3.0, dim)
+    got = LatentDomain("gaussian", mean=mean, std=std).truncate(psi).sample(
+        n, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(ndtr(-2.0 * psi), ndtr(2.0 * psi), size=(n, dim))
+    assert got.tobytes() == (mean + std * ndtri(u)).tobytes()
 
 
 def test_truncation_rejects_box_domain():

@@ -7,8 +7,11 @@ this module recovers that map exactly from the activation pattern at a
 point, which is what the rest of the package builds on.
 """
 
+import functools
 import hashlib
 import json
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,15 +20,112 @@ from .errors import InputError, ValidationError, finite_array, read_json
 
 ACTIVATIONS = ("identity", "relu", "leaky_relu")
 
-# Bytes per block of every batched loop (pool scoring, distance matrices):
-# glibc keeps a freed heap top resident, so a bigger block adds to later peaks.
-BLOCK_BYTES = 1 << 22
+# Bytes per block of every batched loop (pool scoring, distance matrices).
+# ``map_blocks`` holds one block in flight per CPU, and glibc keeps a freed
+# heap top resident in each thread's arena, so peak memory grows with this
+# budget times the CPU count.  The block partition never depends on CPUs.
+BLOCK_BYTES = 1 << 20
+
+_helpers = None   # (max workers, executor) of map_blocks, made on first use
 
 
 def row_blocks(n_rows, row_bytes):
     """Slices of range(n_rows): one row, or as many as fit in BLOCK_BYTES."""
     step = max(1, BLOCK_BYTES // row_bytes)
     return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
+def _workers():
+    """Threads ``map_blocks`` runs on: one per CPU in the affinity mask."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@functools.cache
+def _openblas_controls():
+    """(get, set) thread-count functions of every OpenBLAS loaded at the
+    first call, or None when none is loaded or one has no such function.
+    Only numpy's OpenBLAS runs inside ``map_blocks``; it loads with numpy."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh
+                     if "openblas" in line.lower()}
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    names = ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+             "openblas_%s_num_threads64_", "openblas_%s_num_threads")
+    controls = []
+    for lib in libs:
+        name = next((n for n in names if hasattr(lib, n % "get")), None)
+        if name is None:
+            return None
+        get, set_ = getattr(lib, name % "get"), getattr(lib, name % "set")
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        controls.append((get, set_))
+    return controls or None
+
+
+def map_blocks(fn, n_rows, row_bytes):
+    """``[fn(rows) for rows in row_blocks(n_rows, row_bytes)]``, the blocks
+    shared out between the calling thread and one helper per extra CPU.
+
+    Every thread takes the next block from one iterator; a helper runs its
+    blocks in a copy of the caller's context, so ``np.errstate`` holds there
+    too.  OpenBLAS is held to one thread meanwhile, so the threads do not
+    oversubscribe the CPUs; where that control is not found, the blocks run
+    serially.  Once a block raises, no further block starts; every started
+    block finishes, and the first failing block's error is raised, as the
+    serial loop would raise it.  ``fn`` must not call ``map_blocks``.
+    """
+    global _helpers
+    blocks = list(row_blocks(n_rows, row_bytes))
+    workers = _workers()
+    helpers = min(workers, len(blocks)) - 1
+    blas = _openblas_controls() if helpers > 0 else None
+    if blas is None:
+        return [fn(rows) for rows in blocks]
+    import concurrent.futures
+    import contextvars
+
+    if _helpers is None or _helpers[0] < helpers:
+        _helpers = workers - 1, concurrent.futures.ThreadPoolExecutor(
+            workers - 1, thread_name_prefix="map_blocks")
+    todo, lock = enumerate(blocks), threading.Lock()
+    results, errors = [None] * len(blocks), {}
+
+    def work():
+        while True:
+            with lock:
+                job = None if errors else next(todo, None)
+            if job is None:
+                return
+            i, rows = job
+            try:
+                results[i] = fn(rows)
+            except BaseException as exc:   # re-raised below, once all threads stop
+                with lock:
+                    errors[i] = exc
+
+    previous = [get() for get, _ in blas]
+    for _, set_ in blas:
+        set_(1)
+    try:
+        futures = [_helpers[1].submit(contextvars.copy_context().run, work)
+                   for _ in range(helpers)]
+        try:
+            work()
+        finally:
+            for future in futures:
+                future.result()
+    finally:
+        for (_, set_), count in zip(blas, previous):
+            set_(count)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,8 @@ def _k_nearest(a, b, k, self_match):
     """
     gram = _Gram(a, b)
     nearest = np.empty((a.shape[0], k))
-    for rows in cpa.row_blocks(a.shape[0], 8 * b.shape[0]):
+
+    def block(rows):
         lo = gram.lower(rows)
         n_rows = lo.shape[0]
         diag = (np.arange(n_rows), rows.start + np.arange(n_rows))
@@ -104,6 +105,8 @@ def _k_nearest(a, b, k, self_match):
         d = _pair_distances(a[rows.start + i], b[j])
         first = np.searchsorted(i, np.arange(n_rows))
         nearest[rows] = d[np.lexsort((d, i))][first[:, None] + np.arange(k)]
+
+    cpa.map_blocks(block, a.shape[0], 8 * b.shape[0])
     return nearest
 
 
@@ -214,14 +217,20 @@ def precision_recall(real, fake, k_nn=3):
     real_covered = np.zeros(real_support.shape[0], dtype=bool)
     gram = _Gram(fake_support, real_support)
     real_level, fake_level = _prune_level(real_radii), _prune_level(fake_radii)
-    for rows in cpa.row_blocks(fake_support.shape[0], 8 * real_support.shape[0]):
+
+    def block(rows):
+        """The fake and the real points covered by a pair in this block."""
         lo = gram.lower(rows)
         keep = ~(lo > np.maximum.outer(fake_level[rows], real_level))
         i, j = np.divmod(np.flatnonzero(keep), real_support.shape[0])
         i += rows.start
         d = _pair_distances(fake_support[i], real_support[j])
-        fake_covered[i[d <= real_radii[j]]] = True
-        real_covered[j[d <= fake_radii[i]]] = True
+        return i[d <= real_radii[j]], j[d <= fake_radii[i]]
+
+    for fake_in, real_in in cpa.map_blocks(
+            block, fake_support.shape[0], 8 * real_support.shape[0]):
+        fake_covered[fake_in] = True
+        real_covered[real_in] = True
     precision = fake_counts[fake_covered].sum() / len(fake)
     recall = real_counts[real_covered].sum() / len(real)
     return float(precision), float(recall)

@@ -10,6 +10,7 @@ rho > 0 on the anti-modes, rho = 0 reproduces the prior.
 import base64
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,7 +196,11 @@ class SamplePool:
 
     def distinct_code_count(self):
         """How many distinct regions the pool has discovered (coverage diagnostic)."""
-        return len(np.unique(self.codes, axis=0))
+        width = self.codes.shape[1]
+        if width == 0:   # a net without nonlinear units has one region
+            return 1
+        rows = np.ascontiguousarray(self.codes).view(f"V{width}")[:, 0]
+        return len(set(rows.tolist()))
 
     def save(self, path):
         """One JSON document: header fields, then each column as base64 of
@@ -286,21 +291,38 @@ def _scored_net(net, feature_net):
 
 def region_log_volumes(net, zs, k, eps):
     """Per-latent log-volumes of the top-k spectra, plus the (n, num_units)
-    activation bits, in row blocks whose slopes fit in ``cpa.BLOCK_BYTES``."""
+    activation bits, in row blocks whose slopes fit in ``cpa.BLOCK_BYTES``,
+    scored on every CPU by ``cpa.map_blocks``."""
     zs = np.atleast_2d(zs)
     widest = max([net.input_dim] + [layer.out_dim for layer in net.layers])
     lvs = np.empty(zs.shape[0])
     bits = np.empty((zs.shape[0], net.num_units), dtype=bool)
-    for rows in cpa.row_blocks(zs.shape[0], 8 * net.input_dim * widest):
+
+    def score(rows):
         A, _, bits[rows] = cpa.affine_maps(net, zs[rows])
         lvs[rows] = np.log(batch_top_k_singular_values(A, k) + eps).sum(axis=1)
+
+    cpa.map_blocks(score, zs.shape[0], 8 * net.input_dim * widest)
     return lvs, bits
 
 
+def _integer(value, what):
+    """``value`` as an int (numpy integers pass); InputError for any other type."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_rows(count, row_bytes, what):
-    """InputError unless ``count`` rows of ``row_bytes`` fit in one numpy array."""
+    """``count`` as an int; InputError unless it is an integer of at least 1
+    whose rows of ``row_bytes`` fit in one numpy array."""
+    count = _integer(count, what)
+    if count < 1:
+        raise InputError(f"{what} must be at least 1, got {count}")
     if count > np.iinfo(np.intp).max // row_bytes:
         raise InputError(f"{what}={count} rows of {row_bytes} bytes exceed any array")
+    return count
 
 
 def build_pool(net, domain, n, k, seed, feature_net=None, eps=DEFAULT_EPS):
@@ -309,14 +331,13 @@ def build_pool(net, domain, n, k, seed, feature_net=None, eps=DEFAULT_EPS):
     Deterministic given the seed; pool construction and later sampling use
     independent RNG streams, so the pool is reusable across sample sizes.
     """
-    if n < 1:
-        raise InputError("pool size must be at least 1")
     eff, space = _scored_net(net, feature_net)
     if domain.dim != eff.input_dim:
         raise InputError(
             f"domain dim {domain.dim} does not match network input {eff.input_dim}"
         )
-    _check_rows(n, 8 * (eff.input_dim + 1) + eff.num_units, "n")   # z, score, bits
+    n = _check_rows(n, 8 * (eff.input_dim + 1) + eff.num_units, "n")   # z, score, bits
+    k = _integer(k, "k")
     # every slope factors through each layer, so its rank is at most the
     # narrowest width; singular values past it are exact zeros
     widths = [eff.input_dim] + [layer.out_dim for layer in eff.layers]
@@ -392,9 +413,7 @@ def sample_batch(sampler, s, seed):
     instead of missing cache; the index found for a key does not depend on
     the order of the keys.
     """
-    if s < 1:
-        raise InputError("need at least one sample")
-    _check_rows(s, 8 * (sampler.pool.domain.dim + 1), "s")   # each draw and its index
+    s = _check_rows(s, 8 * (sampler.pool.domain.dim + 1), "s")   # each draw and its index
     rng = np.random.default_rng(seed)
     cdf = sampler.weights.cumsum()   # as Generator.choice builds it
     cdf /= cdf[-1]
@@ -434,9 +453,7 @@ class OnlineSampler:
         self._accepted = 0
 
     def draw(self, s):
-        if s < 1:
-            raise InputError("need at least one sample")
-        _check_rows(s, 8 * self.pool.domain.dim, "s")
+        s = _check_rows(s, 8 * self.pool.domain.dim, "s")
         out = np.empty((s, self.pool.domain.dim))
         filled = 0
         rejections = 0

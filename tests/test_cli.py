@@ -795,6 +795,23 @@ def test_untruncated_pool_build_and_sample_load_no_scipy(workdir):
     assert _scipy_modules_after(code) == []
 
 
+# map_blocks imports its executor on the first call with blocks to share, and
+# starts its threads then: a CLI run that scores nothing pays for neither
+@pytest.mark.parametrize("code", [
+    "import polarity_sampling.cli",
+    "from polarity_sampling import cli\ntry:\n    cli.main(['--help'])\n"
+    "except SystemExit:\n    pass",
+], ids=["import", "help"])
+def test_cli_start_loads_no_executor_and_starts_no_thread(code):
+    src = os.path.dirname(os.path.dirname(polarity_sampling.__file__))
+    probe = (f"{code}\nimport json, sys, threading\n"
+             f"print(json.dumps(['concurrent.futures' in sys.modules, "
+             f"threading.active_count()]))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(out.stdout.splitlines()[-1]) == [False, 1]
+
+
 def test_first_truncated_draw_loads_scipy_special():
     code = ("import numpy as np\nfrom polarity_sampling import zoo\n"
             "zoo.bimodal_domain().truncate(0.7).sample(10, np.random.default_rng(0))")

@@ -1,4 +1,9 @@
 import json
+import sys
+import threading
+import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -332,3 +337,136 @@ def test_layer_walk_matches_where_reference_bit_for_bit(seed, bias_scale, tiny, 
     assert got_b.tobytes() == b.tobytes()
     assert np.array_equal(got_bits, bits)
     assert np.array_equal(region_codes(net, z), bits)
+
+
+# --- map_blocks ----------------------------------------------------------------
+
+
+@pytest.fixture
+def workers():
+    """Patch map_blocks' worker count; helpers run only with a BLAS control."""
+    def patch(count):
+        if count > 1 and cpa._openblas_controls() is None:
+            pytest.skip("no OpenBLAS thread control in this process: map_blocks is serial")
+        return mock.patch.object(cpa, "_workers", lambda: count)
+    return patch
+
+
+def _blocks(n_rows):
+    """One row per block."""
+    return n_rows, cpa.BLOCK_BYTES
+
+
+def _meet_a_helper(started):
+    """Called first in a block: a helper marks ``started``; the calling
+    thread waits for it, so the blocks are surely shared out."""
+    if threading.current_thread() is threading.main_thread():
+        assert started.wait(10)
+    else:
+        started.set()
+
+
+def test_map_blocks_returns_results_in_block_order_under_contention(workers):
+    # more workers than CPUs, and a thread switch every microsecond: a block
+    # taken twice or lost, or a result out of place, breaks the equality
+    seen, started = set(), threading.Event()
+
+    def fn(rows):
+        _meet_a_helper(started)
+        seen.add(threading.get_ident())
+        np.linalg.svd(np.ones((4, 3, 3)), compute_uv=False)   # releases the lock
+        return rows.start, rows.stop
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with workers(4):
+            got = cpa.map_blocks(fn, *_blocks(3000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [(i, i + 1) for i in range(3000)]
+    assert len(seen) > 1
+
+
+def test_map_blocks_runs_serially_without_blas_control():
+    seen = set()
+    with mock.patch.object(cpa, "_workers", lambda: 2), \
+            mock.patch.object(cpa, "_openblas_controls", lambda: None):
+        got = cpa.map_blocks(lambda rows: seen.add(threading.get_ident()) or rows.start,
+                             *_blocks(50))
+    assert got == list(range(50))
+    assert seen == {threading.get_ident()}
+
+
+def test_map_blocks_helpers_keep_the_callers_errstate(workers):
+    seen, started = set(), threading.Event()
+
+    def fn(rows):
+        _meet_a_helper(started)
+        seen.add(threading.get_ident())
+        time.sleep(1e-3)
+        np.array([1e308]) * 10.0   # overflows: a warning, hence an error, unless ignored
+        return np.geterr()["over"]
+
+    with workers(2), warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        got = cpa.map_blocks(fn, *_blocks(40))
+    assert got == ["ignore"] * 40
+    assert len(seen) == 2
+
+
+def test_map_blocks_raises_the_first_failing_block_once_every_thread_stopped(workers):
+    # the first block a helper takes fails slowly; the caller's blocks from
+    # three after it fail at once, so a later block's error comes first
+    lock, active, started, done, slow = threading.Lock(), [0], [], [], []
+    helper = threading.Event()
+
+    def fn(rows):
+        _meet_a_helper(helper)
+        with lock:
+            active[0] += 1
+            started.append(rows.start)
+            if threading.current_thread() is not threading.main_thread() and not slow:
+                slow.append(rows.start)
+        try:
+            if slow and rows.start == slow[0]:
+                time.sleep(0.05)
+                raise ValueError(f"block {rows.start}")
+            if slow and rows.start >= slow[0] + 3:
+                raise ValueError(f"block {rows.start}")
+            time.sleep(1e-3)
+            done.append(rows.start)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    with workers(2), pytest.raises(ValueError) as raised:
+        try:
+            cpa.map_blocks(fn, *_blocks(100))
+        finally:
+            assert active[0] == 0   # every thread stopped before the error
+            finished = len(done)
+    assert str(raised.value) == f"block {slow[0]}"
+    assert set(range(slow[0])) <= set(done)   # every block before it ran
+    assert len(started) < 100   # no block started once one had failed
+    time.sleep(0.05)
+    assert len(done) == finished   # and no helper went on writing
+
+
+def test_map_blocks_holds_blas_to_one_thread_and_restores_it(workers):
+    with workers(2):
+        controls = cpa._openblas_controls()
+        before = [get() for get, _ in controls]
+        try:
+            for _, set_ in controls:
+                set_(2)
+            inside = cpa.map_blocks(lambda rows: [get() for get, _ in controls],
+                                    *_blocks(8))
+            assert inside == [[1] * len(controls)] * 8
+            assert [get() for get, _ in controls] == [2] * len(controls)
+            with pytest.raises(ZeroDivisionError):
+                cpa.map_blocks(lambda rows: 1 / 0, *_blocks(8))
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, set_), count in zip(controls, before):
+                set_(count)

@@ -194,14 +194,20 @@ def _family(data, min_rows, max_rows, dim):
 
 # block budgets of one row, a few rows, and the whole matrix at these sizes
 BLOCK_BYTES = st.sampled_from([1, 100, cpa.BLOCK_BYTES])
+# threads that run the blocks (helpers run only with a BLAS thread control)
+WORKERS = st.sampled_from([1, 2])
+
+
+def _blocks(block_bytes, workers):
+    return mock.patch.multiple(cpa, BLOCK_BYTES=block_bytes, _workers=lambda: workers)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 64), BLOCK_BYTES, st.data())
-def test_precision_recall_matches_full_matrix_oracle(dim, block_bytes, data):
+@given(st.integers(1, 64), BLOCK_BYTES, WORKERS, st.data())
+def test_precision_recall_matches_full_matrix_oracle(dim, block_bytes, workers, data):
     real, fake = _family(data, 2, 40, dim)
     k_nn = data.draw(st.integers(1, min(len(real), len(fake)) - 1))
-    with mock.patch.object(cpa, "BLOCK_BYTES", block_bytes):
+    with _blocks(block_bytes, workers):
         got = precision_recall(SampleSet(real), SampleSet(fake), k_nn)
         radii = SampleSet(fake).manifold(k_nn)[2]
     assert got == _oracle_precision_recall(real, fake, k_nn)
@@ -217,13 +223,13 @@ def test_precision_recall_single_distinct_point():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 64), BLOCK_BYTES, st.data())
-def test_cached_reference_matches_fresh_sets(dim, block_bytes, data):
+@given(st.integers(1, 64), BLOCK_BYTES, WORKERS, st.data())
+def test_cached_reference_matches_fresh_sets(dim, block_bytes, workers, data):
     real, fake = _family(data, 2, 30, dim)
     ks = list(range(1, min(len(real), len(fake))))
     reference = SampleSet(real)
     for k_nn in data.draw(st.permutations(ks + ks)):
-        with mock.patch.object(cpa, "BLOCK_BYTES", block_bytes):
+        with _blocks(block_bytes, workers):
             cached = precision_recall(reference, SampleSet(fake), k_nn)
         assert cached == precision_recall(SampleSet(real), SampleSet(fake), k_nn)
         assert cached == _oracle_precision_recall(real, fake, k_nn)
@@ -283,12 +289,12 @@ def test_pair_distances_round_like_cdist(dim, n_a, n_b, log_scale, ties, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 64), BLOCK_BYTES, st.data())
-def test_nn_distances_matches_full_sort(dim, block_bytes, data):
+@given(st.integers(1, 64), BLOCK_BYTES, WORKERS, st.data())
+def test_nn_distances_matches_full_sort(dim, block_bytes, workers, data):
     gen, train = _family(data, 1, 30, dim)
     d = np.sort(cdist(gen, train), axis=1)
     for j in range(1, len(train) + 1):
-        with mock.patch.object(cpa, "BLOCK_BYTES", block_bytes):
+        with _blocks(block_bytes, workers):
             got = nn_distances(SampleSet(gen), SampleSet(train), j)
         assert np.array_equal(got, d[:, :j].mean(axis=1))
 

@@ -9,7 +9,7 @@ from scipy.special import ndtr, ndtri
 from polarity_sampling import (
     ConfigError, CpaNetwork, InputError, LatentDomain, Layer, OnlineSampler,
     PolaritySampler, SamplePool, build_pool, forward, polarity_weights,
-    StateError, region_codes, region_log_volumes, sample_batch,
+    StateError, identity_net, region_codes, region_log_volumes, sample_batch,
 )
 from polarity_sampling import cpa, zoo
 
@@ -206,6 +206,11 @@ def test_sample_batch_equals_generator_choice(family, s, seed, data):
     idx = np.random.default_rng(seed).choice(n, size=s, p=sampler.weights)
     assert got.tobytes() == sampler.pool.z[idx].tobytes()
 
+def _workers(count):
+    """Score blocks on ``count`` threads (helpers run only with a BLAS control)."""
+    return mock.patch.object(cpa, "_workers", lambda: count)
+
+
 def _domains(dim):
     return {
         "box": LatentDomain("uniform_box", lo=-np.ones(dim), hi=np.ones(dim)),
@@ -222,23 +227,38 @@ def test_pool_columns_do_not_depend_on_block_budget(net_seed, n, kind, data):
     domain = _domains(net.input_dim)[kind]
     widths = [net.input_dim] + [layer.out_dim for layer in net.layers]
     k = data.draw(st.integers(1, min(widths)))
-    expected = build_pool(net, domain, n, k, seed=7)
-    # one row per block, then three
-    for budget in (1, 3 * 8 * net.input_dim * max(widths)):
-        with mock.patch.object(cpa, "BLOCK_BYTES", budget):
-            got = build_pool(net, domain, n, k, seed=7)
-        for column in ("z", "log_volumes", "codes"):
-            assert np.array_equal(getattr(got, column), getattr(expected, column))
+    with _workers(1):
+        expected = build_pool(net, domain, n, k, seed=7)
+    # one row per block, then three, then the default; on one and two threads
+    for budget in (1, 3 * 8 * net.input_dim * max(widths), cpa.BLOCK_BYTES):
+        for workers in (1, 2):
+            with mock.patch.object(cpa, "BLOCK_BYTES", budget), _workers(workers):
+                got = build_pool(net, domain, n, k, seed=7)
+            for column in ("z", "log_volumes", "codes"):
+                assert getattr(got, column).tobytes() == getattr(expected, column).tobytes()
 
 
 def test_online_draws_do_not_depend_on_block_budget():
     net = zoo.random_net(13, input_dim=3)
     pool = build_pool(net, _domains(3)["box"], 20000, 2, seed=1)
-    expected = OnlineSampler(pool, net, -1.0, seed=3).draw(500)
-    for budget in (1, 3 * 8 * 3 * 28):   # one row per block, then three
-        with mock.patch.object(cpa, "BLOCK_BYTES", budget):
-            got = OnlineSampler(pool, net, -1.0, seed=3).draw(500)
-        assert np.array_equal(got, expected)
+    with _workers(1):
+        expected = OnlineSampler(pool, net, -1.0, seed=3).draw(500)
+    # one row per block, then three, then the default; on one and two threads
+    for budget in (1, 3 * 8 * 3 * 28, cpa.BLOCK_BYTES):
+        for workers in (1, 2):
+            with mock.patch.object(cpa, "BLOCK_BYTES", budget), _workers(workers):
+                got = OnlineSampler(pool, net, -1.0, seed=3).draw(500)
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_finite_latent_in_the_last_block_raises_input_error(workers):
+    net = zoo.random_net(13, input_dim=3)
+    z = np.random.default_rng(0).standard_normal((50, 3))
+    z[-1, 1] = np.nan
+    with mock.patch.object(cpa, "BLOCK_BYTES", 1), _workers(workers):
+        with pytest.raises(InputError, match="latent input contains non-finite entries"):
+            region_log_volumes(net, z, 2, 1e-12)
 
 
 def test_online_linear_net_matches_prior():
@@ -295,6 +315,41 @@ def test_online_draw_refuses_counts_outside_one_array(s):
     pool = build_pool(net, zoo.two_piece_domain(), 100, 1, seed=5)
     with pytest.raises(InputError):
         OnlineSampler(pool, net, -1.0, seed=6).draw(s)
+
+
+def _two_piece_pool(n=100):
+    net = zoo.two_piece_net()
+    return net, build_pool(net, zoo.two_piece_domain(), n, 1, seed=5)
+
+
+def test_build_pool_refuses_a_non_integer_size():
+    with pytest.raises(InputError, match="n must be an integer, got 10.5"):
+        build_pool(zoo.two_piece_net(), zoo.two_piece_domain(), 10.5, 1, seed=5)
+
+
+def test_build_pool_refuses_a_non_integer_k():
+    with pytest.raises(InputError, match="k must be an integer, got 2.5"):
+        build_pool(zoo.two_piece_net(), zoo.two_piece_domain(), 10, 2.5, seed=5)
+
+
+def test_sample_batch_refuses_a_non_integer_count():
+    _, pool = _two_piece_pool()
+    with pytest.raises(InputError, match="s must be an integer, got 2.5"):
+        sample_batch(PolaritySampler(pool, -1.0), 2.5, seed=6)
+
+
+def test_online_draw_refuses_a_non_integer_count():
+    net, pool = _two_piece_pool()
+    with pytest.raises(InputError, match="s must be an integer, got 2.5"):
+        OnlineSampler(pool, net, -1.0, seed=6).draw(2.5)
+
+
+def test_counts_take_numpy_integers():
+    net, pool = _two_piece_pool(np.int64(100))
+    assert pool.n == 100
+    assert build_pool(net, zoo.two_piece_domain(), 10, np.uint8(1), seed=5).k == 1
+    assert sample_batch(PolaritySampler(pool, -1.0), np.int32(7), seed=6).shape == (7, 1)
+    assert OnlineSampler(pool, net, -1.0, seed=6).draw(np.int16(3)).shape == (3, 1)
 
 
 def test_batch_online_agreement():
@@ -388,6 +443,26 @@ def test_distinct_code_count_matches_digest_reference():
     assert pool.distinct_code_count() == len(rows) > 1000
     bits = np.unpackbits(pool.codes, axis=1, count=net.num_units).astype(bool)
     np.testing.assert_array_equal(bits, region_codes(net, pool.latents))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 5), st.integers(1, 256), st.integers(0, 2**32 - 1))
+def test_distinct_code_count_matches_unique_rows(n, width, alphabet, seed):
+    # a small alphabet repeats rows; width 0 is a net without nonlinear units
+    codes = np.random.default_rng(seed).integers(0, alphabet, (n, width)).astype(np.uint8)
+    pool = SamplePool(
+        z=np.zeros((n, 1)), log_volumes=np.zeros(n), codes=codes, k=1, eps=1e-12,
+        space="output", seed=0, domain=LatentDomain("uniform_box", lo=[-1.0], hi=[1.0]),
+        net_fingerprint="test",
+    )
+    assert pool.distinct_code_count() == len(np.unique(codes, axis=0))
+
+
+def test_identity_net_pool_has_one_region():
+    pool = build_pool(identity_net(2), LatentDomain("uniform_box", lo=[-1, -1], hi=[1, 1]),
+                      50, 2, seed=1)
+    assert pool.codes.shape == (50, 0)
+    assert pool.distinct_code_count() == 1
 
 
 def test_gaussian_domain_pool():

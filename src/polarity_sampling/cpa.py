@@ -26,8 +26,6 @@ ACTIVATIONS = ("identity", "relu", "leaky_relu")
 # budget times the CPU count.  The block partition never depends on CPUs.
 BLOCK_BYTES = 1 << 20
 
-_helpers = None   # (max workers, executor) of map_blocks, made on first use
-
 
 def row_blocks(n_rows, row_bytes):
     """Slices of range(n_rows): one row, or as many as fit in BLOCK_BYTES."""
@@ -78,21 +76,17 @@ def map_blocks(fn, n_rows, row_bytes):
     oversubscribe the CPUs; where that control is not found, the blocks run
     serially.  Once a block raises, no further block starts; every started
     block finishes, and the first failing block's error is raised, as the
-    serial loop would raise it.  ``fn`` must not call ``map_blocks``.
+    serial loop would raise it.  The helpers start and end inside the call,
+    so no thread outlives it: ``fn`` may call ``map_blocks``, and a forked
+    process may too.
     """
-    global _helpers
     blocks = list(row_blocks(n_rows, row_bytes))
-    workers = _workers()
-    helpers = min(workers, len(blocks)) - 1
+    helpers = min(_workers(), len(blocks)) - 1
     blas = _openblas_controls() if helpers > 0 else None
     if blas is None:
         return [fn(rows) for rows in blocks]
-    import concurrent.futures
     import contextvars
 
-    if _helpers is None or _helpers[0] < helpers:
-        _helpers = workers - 1, concurrent.futures.ThreadPoolExecutor(
-            workers - 1, thread_name_prefix="map_blocks")
     todo, lock = enumerate(blocks), threading.Lock()
     results, errors = [None] * len(blocks), {}
 
@@ -112,15 +106,16 @@ def map_blocks(fn, n_rows, row_bytes):
     previous = [get() for get, _ in blas]
     for _, set_ in blas:
         set_(1)
+    threads = []
     try:
-        futures = [_helpers[1].submit(contextvars.copy_context().run, work)
-                   for _ in range(helpers)]
-        try:
-            work()
-        finally:
-            for future in futures:
-                future.result()
+        for _ in range(helpers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            thread.start()
+            threads.append(thread)
+        work()
     finally:
+        for thread in threads:
+            thread.join()
         for (_, set_), count in zip(blas, previous):
             set_(count)
     if errors:

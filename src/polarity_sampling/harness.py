@@ -9,6 +9,7 @@ making "polarity off" and "rho = 0" bit-identical.
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -82,7 +83,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"config field 'seed' must be non-negative, got {self.seed}")
         for name in ("eps", "epsilon"):
-            if not 0.0 < getattr(self, name) < np.inf:
+            if not 0.0 < getattr(self, name) <= sys.float_info.max:   # ints past it too
                 raise ConfigError(f"config field {name!r} must be finite and > 0, "
                                   f"got {getattr(self, name)!r}")
         for name, kind in _GRID_FIELDS.items():

@@ -176,10 +176,14 @@ def frechet_distance(a, b):
     ||mu_a - mu_b||^2 + tr(S_a + S_b - 2 (S_a S_b)^(1/2)); the matrix square
     root is taken on the symmetrized product S_a^(1/2) S_b S_a^(1/2), with
     round-off negatives clamped at zero.  Points so far apart that a
-    covariance or the distance overflows raise FloatingPointError.
+    covariance or the distance overflows raise FloatingPointError; a set of
+    fewer than 2 points, which has no covariance, raises InputError.
     """
     if a.dim != b.dim:
         raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if min(len(a), len(b)) < 2:
+        raise InputError(f"the Frechet distance needs at least 2 points per set, "
+                         f"got {len(a)} and {len(b)}")
     mu_a, cov_a = _mean_cov(a.points)
     mu_b, cov_b = _mean_cov(b.points)
     for cov in (cov_a, cov_b):
@@ -253,7 +257,9 @@ def path_length(net, sampler, epsilon, n_pairs, seed, feature_net=None):
 
     Endpoint pairs come from ``sampler.draw``; for each pair and t ~ U[0,1]
     the score is ||F(G(lerp(t))) - F(G(lerp(t+eps)))||^2 / eps^2.  Returns
-    the (n_pairs,) score array.
+    the (n_pairs,) score array.  An ``epsilon`` so large that a shifted
+    latent or a score overflows, or so small that its square underflows,
+    raises FloatingPointError.
     """
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
@@ -264,13 +270,17 @@ def path_length(net, sampler, epsilon, n_pairs, seed, feature_net=None):
     e2 = sampler.draw(n_pairs, seq[1])
     t = np.random.default_rng(seq[2]).uniform(size=(n_pairs, 1))
     p0 = e1 + t * (e2 - e1)
-    p1 = e1 + (t + epsilon) * (e2 - e1)
-    x0 = cpa.forward(net, p0)
-    x1 = cpa.forward(net, p1)
-    if feature_net is not None:
-        x0 = cpa.forward(feature_net, x0)
-        x1 = cpa.forward(feature_net, x1)
-    return np.sum((x1 - x0) ** 2, axis=1) / epsilon**2
+    what = f"path-length scores at epsilon={epsilon!r}"
+    with np.errstate(all="ignore"):
+        p1 = finite_array(e1 + (t + epsilon) * (e2 - e1), "the latents of " + what,
+                          FloatingPointError)
+        x0 = cpa.forward(net, p0)
+        x1 = cpa.forward(net, p1)
+        if feature_net is not None:
+            x0 = cpa.forward(feature_net, x0)
+            x1 = cpa.forward(feature_net, x1)
+        scores = np.sum((x1 - x0) ** 2, axis=1) / np.float64(epsilon) ** 2
+    return finite_array(scores, "the " + what, FloatingPointError)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -259,25 +259,45 @@ def test_pareto_writes_csv_and_reruns_identically(workdir):
     assert header == "rho,psi,precision,recall,frechet,seed"
 
 
-def test_shift_and_ppl_subcommands(tmp_path):
-    model = tmp_path / "shift.json"
+def _shift_config(tmp_path, **fields):
+    model, cfg = tmp_path / "shift.json", tmp_path / "cfg.json"
     save_model(zoo.shift_generator(), model)
     biased, uniform = zoo.shift_references(400, 3)
-    config = ExperimentConfig(
-        model_path=str(model),
-        domain=zoo.shift_domain().to_dict(),
-        seed=2, rho_grid=[0.0, 1.0], n=2000, k=1, s=400, n_pairs=200,
-        reference_biased=biased.to_dict(),
-        reference_uniform=uniform.to_dict(),
-    )
-    cfg = tmp_path / "cfg.json"
-    config.to_json(cfg)
+    ExperimentConfig(**{
+        "model_path": str(model), "domain": zoo.shift_domain().to_dict(), "seed": 2,
+        "rho_grid": [0.0, 1.0], "n": 2000, "k": 1, "s": 400, "n_pairs": 200,
+        "reference_biased": biased.to_dict(), "reference_uniform": uniform.to_dict(),
+        **fields}).to_json(cfg)
+    return cfg
+
+
+def test_shift_and_ppl_subcommands(tmp_path):
+    cfg = _shift_config(tmp_path)
     shift_out = tmp_path / "shift.csv"
     assert main(["shift", "--config", str(cfg), "--out", str(shift_out)]) == 0
     assert len(shift_out.read_text().splitlines()) == 3
     ppl_out = tmp_path / "ppl.csv"
     assert main(["ppl", "--config", str(cfg), "--out", str(ppl_out)]) == 0
     assert ppl_out.read_text().startswith("rho,mean_ppl,q10,q50,q90,seed")
+
+
+# 1e200 squares past the float range, 1e-200 squares to zero
+@pytest.mark.parametrize("epsilon", [1e200, 1e-200])
+def test_ppl_at_extreme_epsilon_exits_3(epsilon, tmp_path, capsys):
+    cfg, out = _shift_config(tmp_path, epsilon=epsilon), tmp_path / "ppl.csv"
+    rc = main(["ppl", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("numerical error: ") and "epsilon" in err
+    assert not out.exists()
+
+
+def test_shift_with_one_draw_exits_2(tmp_path, capsys):
+    cfg = _shift_config(tmp_path, s=1)
+    rc = main(["shift", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and "at least 2 points" in err
 
 
 def test_modes_subcommand(workdir):
@@ -531,6 +551,7 @@ MALFORMED_INPUTS = {
     "eps_zero": (*_config_edit(eps=0), "'eps'"),
     "epsilon_nan": (*_config_edit(epsilon=float("nan")), "'epsilon'"),
     "epsilon_null": (*_config_edit(epsilon=None), "'epsilon'"),
+    "epsilon_int_beyond_float": (*_config_edit(epsilon=10**400), "'epsilon'"),
     "rho_grid_not_list": (*_config_edit(rho_grid=5), "'rho_grid'"),
     "rho_grid_string_entry": (*_config_edit(rho_grid=["a"]), "'rho_grid'"),
     "psi_grid_bool_entry": (*_config_edit(psi_grid=[True]), "'psi_grid'"),
@@ -795,14 +816,28 @@ def test_untruncated_pool_build_and_sample_load_no_scipy(workdir):
     assert _scipy_modules_after(code) == []
 
 
-# map_blocks imports its executor on the first call with blocks to share, and
-# starts its threads then: a CLI run that scores nothing pays for neither
+# map_blocks starts its helper threads inside each call with blocks to share
+# and joins them before it returns: no CLI run, whether it scores blocks or
+# not, ends with a thread beside the main one or loads an executor module
 @pytest.mark.parametrize("code", [
     "import polarity_sampling.cli",
     "from polarity_sampling import cli\ntry:\n    cli.main(['--help'])\n"
     "except SystemExit:\n    pass",
-], ids=["import", "help"])
-def test_cli_start_loads_no_executor_and_starts_no_thread(code):
+    "from polarity_sampling import cli\n"
+    "assert cli.main(['pool', 'build', '--config', {cfg!r}, '--out', {pool!r}]) == 0",
+], ids=["import", "help", "pool build"])
+def test_cli_start_loads_no_executor_and_starts_no_thread(code, tmp_path):
+    # a net wide enough that the pool build scores several blocks
+    model, cfg = tmp_path / "wide.json", tmp_path / "cfg.json"
+    rng = np.random.default_rng(0)
+    save_model(CpaNetwork("wide", (
+        Layer(rng.standard_normal((64, 8)), rng.standard_normal(64), "relu"),
+        Layer(rng.standard_normal((4, 64)), np.zeros(4)),
+    )), model)
+    ExperimentConfig(model_path=str(model), seed=1, rho_grid=[0.0], n=2000, k=2,
+                     domain={"kind": "uniform_box", "lo": [-1.0] * 8,
+                             "hi": [1.0] * 8}).to_json(cfg)
+    code = code.format(cfg=str(cfg), pool=str(tmp_path / "pool.json"))
     src = os.path.dirname(os.path.dirname(polarity_sampling.__file__))
     probe = (f"{code}\nimport json, sys, threading\n"
              f"print(json.dumps(['concurrent.futures' in sys.modules, "

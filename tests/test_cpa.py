@@ -1,4 +1,6 @@
+import contextlib
 import json
+import multiprocessing
 import sys
 import threading
 import time
@@ -470,3 +472,54 @@ def test_map_blocks_holds_blas_to_one_thread_and_restores_it(workers):
         finally:
             for (_, set_), count in zip(controls, before):
                 set_(count)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_map_blocks_leaves_no_thread_behind(workers, fails):
+    # each thread's first block waits for the other's, so both run blocks
+    before, seen, meet = threading.active_count(), set(), threading.Barrier(2, timeout=10)
+
+    def fn(rows):
+        if threading.current_thread() not in seen:
+            seen.add(threading.current_thread())
+            meet.wait()
+        if fails and threading.current_thread() is threading.main_thread():
+            raise ValueError(f"block {rows.start}")
+        return rows.start
+
+    with workers(2), pytest.raises(ValueError) if fails else contextlib.nullcontext():
+        assert cpa.map_blocks(fn, *_blocks(8)) == list(range(8))
+    assert len(seen) == 2
+    assert not any(thread.is_alive() for thread in seen - {threading.main_thread()})
+    assert threading.active_count() == before
+
+
+def _map_blocks_in_order():
+    assert cpa.map_blocks(lambda rows: rows.start, *_blocks(8)) == list(range(8))
+
+
+def test_map_blocks_runs_in_a_child_forked_after_a_threaded_call(workers):
+    with workers(2):
+        _map_blocks_in_order()
+        child = multiprocessing.get_context("fork").Process(target=_map_blocks_in_order)
+        child.start()
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("map_blocks hung in a forked child")
+    assert child.exitcode == 0
+
+
+def test_map_blocks_inside_a_block_returns_the_nested_results(workers):
+    def fn(rows):
+        return cpa.map_blocks(lambda inner: (rows.start, inner.start), *_blocks(3))
+
+    got = []
+    with workers(2):
+        caller = threading.Thread(target=lambda: got.append(cpa.map_blocks(fn, *_blocks(4))),
+                                  daemon=True)
+        caller.start()
+        caller.join(30)
+    assert not caller.is_alive(), "nested map_blocks hung"
+    assert got == [[[(i, j) for j in range(3)] for i in range(4)]]

@@ -64,6 +64,14 @@ def test_frechet_tiny_sets_regularized():
     assert np.isfinite(frechet_distance(a, a))
 
 
+@pytest.mark.parametrize("sizes", [(1, 5), (5, 1), (1, 1)])
+def test_frechet_needs_two_points_per_set(sizes):
+    # one point has no covariance: np.cov would warn and divide by zero
+    a, b = (SampleSet(np.arange(2.0 * n).reshape(n, 2)) for n in sizes)
+    with pytest.raises(InputError, match="at least 2 points"):
+        frechet_distance(a, b)
+
+
 def test_frechet_dim_mismatch():
     with pytest.raises(InputError):
         frechet_distance(SampleSet(np.zeros((5, 2))), SampleSet(np.zeros((5, 3))))
@@ -415,6 +423,18 @@ def test_path_length_argument_errors():
         path_length(net, DomainSampler(dom), -1.0, 10, seed=0)
     with pytest.raises(InputError):
         path_length(net, DomainSampler(dom), 1e-4, 0, seed=0)
+
+
+# a step whose square overflows, one so small that its square underflows to
+# zero, and one that moves the shifted latents past the float range
+@pytest.mark.parametrize("epsilon, what", [(1e200, "the path-length scores"),
+                                           (1e-200, "the path-length scores"),
+                                           (1e308, "the latents")])
+def test_path_length_at_extreme_epsilon_raises_floating_point_error(epsilon, what):
+    net = CpaNetwork("lin", (Layer(np.array([[2.0]]), np.zeros(1)),))
+    dom = LatentDomain("uniform_box", lo=[-10.0], hi=[10.0])
+    with pytest.raises(FloatingPointError, match=what):
+        path_length(net, DomainSampler(dom), epsilon, 10, seed=0)
 
 
 def test_sample_set_validation():

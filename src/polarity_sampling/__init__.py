@@ -17,8 +17,8 @@ from .density import (
     normalization_constant, pseudo_log_det_sqrt, total_variation,
 )
 from .errors import (
-    ConfigError, InputError, PolarityError, SamplingTimeout, ScaleError,
-    StateError, ValidationError,
+    ConfigError, InputError, PolarityError, ScaleError, StateError,
+    ValidationError,
 )
 from .harness import ExperimentConfig, child_seed, run_ablation, run_modes, \
     run_pareto, run_ppl, run_shift, write_csv
@@ -26,8 +26,8 @@ from .metrics import (
     SampleSet, frechet_distance, nn_distances, path_length, precision_recall,
 )
 from .polarity import (
-    LatentDomain, OnlineSampler, PolaritySampler, SamplePool, build_pool,
-    polarity_weights, region_log_volumes, sample_batch,
+    LatentDomain, PolaritySampler, SamplePool, build_pool, polarity_weights,
+    region_log_volumes, sample_batch,
 )
 from .synth import SyntheticDataset
 

@@ -2,7 +2,7 @@
 
 Subcommands: pool build, sample, density eval, pareto, ablate, modes,
 shift, ppl, metrics.  Exit codes: 0 success, 2 configuration error,
-3 numerical/timeout error.
+3 numerical error.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import cpa, density, harness, metrics
-from .errors import ConfigError, PolarityError, SamplingTimeout
+from .errors import ConfigError, PolarityError
 from .polarity import PolaritySampler, SamplePool, build_pool, sample_batch
 
 
@@ -201,7 +201,7 @@ def main(argv=None):
         if seed is not None and seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {seed}")
         args.func(args)
-    except (SamplingTimeout, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except (PolarityError, OSError) as exc:

@@ -66,6 +66,13 @@ def _openblas_controls():
     return controls or None
 
 
+# map_blocks calls now holding OpenBLAS to one thread, and the thread counts
+# the first of them found; both guarded by _blas_lock
+_blas_lock = threading.Lock()
+_blas_holds = 0
+_blas_saved = None
+
+
 def map_blocks(fn, n_rows, row_bytes):
     """``[fn(rows) for rows in row_blocks(n_rows, row_bytes)]``, the blocks
     shared out between the calling thread and one helper per extra CPU.
@@ -74,12 +81,15 @@ def map_blocks(fn, n_rows, row_bytes):
     blocks in a copy of the caller's context, so ``np.errstate`` holds there
     too.  OpenBLAS is held to one thread meanwhile, so the threads do not
     oversubscribe the CPUs; where that control is not found, the blocks run
-    serially.  Once a block raises, no further block starts; every started
-    block finishes, and the first failing block's error is raised, as the
-    serial loop would raise it.  The helpers start and end inside the call,
-    so no thread outlives it: ``fn`` may call ``map_blocks``, and a forked
-    process may too.
+    serially.  Of nested or concurrent calls, the first to hold OpenBLAS
+    saves its thread counts and the last to leave restores them.  Once a
+    block raises, no further block starts; every started block finishes, and
+    the first failing block's error is raised, as the serial loop would
+    raise it.  The helpers start and end inside the call, so no thread
+    outlives it: ``fn`` may call ``map_blocks``, and a forked process may
+    too.
     """
+    global _blas_holds, _blas_saved
     blocks = list(row_blocks(n_rows, row_bytes))
     helpers = min(_workers(), len(blocks)) - 1
     blas = _openblas_controls() if helpers > 0 else None
@@ -103,9 +113,12 @@ def map_blocks(fn, n_rows, row_bytes):
                 with lock:
                     errors[i] = exc
 
-    previous = [get() for get, _ in blas]
-    for _, set_ in blas:
-        set_(1)
+    with _blas_lock:
+        if _blas_holds == 0:
+            _blas_saved = [get() for get, _ in blas]
+            for _, set_ in blas:
+                set_(1)
+        _blas_holds += 1
     threads = []
     try:
         for _ in range(helpers):
@@ -116,8 +129,11 @@ def map_blocks(fn, n_rows, row_bytes):
     finally:
         for thread in threads:
             thread.join()
-        for (_, set_), count in zip(blas, previous):
-            set_(count)
+        with _blas_lock:
+            _blas_holds -= 1
+            if _blas_holds == 0:
+                for (_, set_), count in zip(blas, _blas_saved):
+                    set_(count)
     if errors:
         raise errors[min(errors)]
     return results

@@ -29,23 +29,6 @@ class ScaleError(PolarityError):
     """Problem size exceeds what the exact desk-scale oracles support."""
 
 
-class SamplingTimeout(PolarityError):
-    """Online rejection sampling stalled.
-
-    Attributes:
-        rejections: number of rejected candidates before giving up.
-        acceptance_rate: empirical acceptance-rate estimate at the time of failure.
-    """
-
-    def __init__(self, rejections, acceptance_rate):
-        self.rejections = rejections
-        self.acceptance_rate = acceptance_rate
-        super().__init__(
-            f"rejection sampling stalled after {rejections} rejections "
-            f"(estimated acceptance rate {acceptance_rate:.3e})"
-        )
-
-
 def finite_array(value, what, error):
     """``value`` as a float64 array, or ``error`` naming ``what`` unless it
     holds only finite numbers (bools, strings and nulls are not numbers)."""

@@ -2,7 +2,7 @@
 
 Pool construction draws N latents, records each one's region log-volume
 (sum of log top-k singular values of the local slope matrix), and the
-samplers then resample those latents under softmax(rho * log-volume):
+sampler then resamples those latents under softmax(rho * log-volume):
 rho < 0 concentrates on the output-density modes (small Jacobian volume),
 rho > 0 on the anti-modes, rho = 0 reproduces the prior.
 """
@@ -16,10 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cpa
-from .errors import (
-    ConfigError, InputError, SamplingTimeout, StateError, ValidationError,
-    finite_array, read_json,
-)
+from .errors import ConfigError, InputError, ValidationError, finite_array, read_json
 from .spectral import batch_top_k_singular_values
 
 DEFAULT_EPS = 1e-12
@@ -29,8 +26,6 @@ _POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
                 "eps": float, "space": str, "seed": int, "code_bytes": int,
                 "z": str, "log_volumes": str, "codes": str}
 _POOL_COLUMNS = {"z": "<f8", "log_volumes": "<f8", "codes": "u1"}
-_STALL_LIMIT = 10_000_000
-_ONLINE_CHUNK = 4096   # candidates proposed per round in OnlineSampler.draw
 
 
 # --- latent domains ----------------------------------------------------------
@@ -281,14 +276,6 @@ class SamplePool:
             )
 
 
-def _scored_net(net, feature_net):
-    """The network a pool scores and its ``space`` label: the generator, or the
-    generator composed with the feature net, named by that net's content hash."""
-    if feature_net is None:
-        return net, "output"
-    return cpa.compose(net, feature_net), "composed:" + cpa.fingerprint(feature_net)
-
-
 def region_log_volumes(net, zs, k, eps):
     """Per-latent log-volumes of the top-k spectra, plus the (n, num_units)
     activation bits, in row blocks whose slopes fit in ``cpa.BLOCK_BYTES``,
@@ -331,7 +318,12 @@ def build_pool(net, domain, n, k, seed, feature_net=None, eps=DEFAULT_EPS):
     Deterministic given the seed; pool construction and later sampling use
     independent RNG streams, so the pool is reusable across sample sizes.
     """
-    eff, space = _scored_net(net, feature_net)
+    # the network the pool scores and its ``space`` label: the generator, or the
+    # generator composed with the feature net, named by that net's content hash
+    eff, space = net, "output"
+    if feature_net is not None:
+        eff = cpa.compose(net, feature_net)
+        space = "composed:" + cpa.fingerprint(feature_net)
     if domain.dim != eff.input_dim:
         raise InputError(
             f"domain dim {domain.dim} does not match network input {eff.input_dim}"
@@ -368,23 +360,18 @@ def build_pool(net, domain, n, k, seed, feature_net=None, eps=DEFAULT_EPS):
 # --- samplers ----------------------------------------------------------------
 
 
-def _log_weights(log_volumes, rho):
-    """The scores rho * log_volumes shifted so that their maximum is 0, and
-    that maximum; an entry that overflows to -inf just gets weight 0."""
+def polarity_weights(pool, rho):
+    """Categorical weights softmax(rho * log_volumes), computed in log-space;
+    an entry whose score overflows to -inf just gets weight 0."""
     if not np.isfinite(rho):
         raise InputError("rho must be finite")
     with np.errstate(over="ignore"):
-        scores = rho * log_volumes
+        scores = rho * pool.log_volumes
     top = scores.max()
     if not np.isfinite(top):
         raise InputError(f"rho={rho} overflows the pool's largest log-weight")
     scores -= top
-    return scores, top
-
-
-def polarity_weights(pool, rho):
-    """Categorical weights softmax(rho * log_volumes), computed in log-space."""
-    w = np.exp(_log_weights(pool.log_volumes, rho)[0])
+    w = np.exp(scores)
     return w / w.sum()
 
 
@@ -425,64 +412,3 @@ def sample_batch(sampler, s, seed):
         order = np.argsort(u)
         block[order] = cdf.searchsorted(u[order], side="right")
     return sampler.pool.latents[idx]
-
-
-class OnlineSampler:
-    """Rejection sampling against the pool's weight scale, no pool lookup.
-
-    Fresh candidates come straight from the prior; each one's Jacobian
-    spectrum is computed on the fly.  A candidate is accepted with
-    probability w_z / w_max, w_max the largest pool weight, so acceptance
-    is exactly proportional to w_z: textbook rejection sampling for the
-    target density.  That holds only while w_max bounds every candidate; a
-    candidate that outweighs it raises StateError instead of biasing the
-    draws.  A pool scored for another generator or feature net is refused.
-    """
-
-    def __init__(self, pool, net, rho, seed, feature_net=None):
-        pool.check_fingerprint(net)
-        self.net, space = _scored_net(net, feature_net)
-        if space != pool.space:
-            raise ConfigError(f"pool was scored in space {pool.space!r}, this "
-                              f"sampler scores {space!r}")
-        self.pool = pool
-        self.rho = float(rho)
-        self.rng = np.random.default_rng(seed)
-        self._log_wmax = float(_log_weights(pool.log_volumes, self.rho)[1])
-        self._proposed = 0
-        self._accepted = 0
-
-    def draw(self, s):
-        s = _check_rows(s, 8 * self.pool.domain.dim, "s")
-        out = np.empty((s, self.pool.domain.dim))
-        filled = 0
-        rejections = 0
-        while filled < s:
-            zs = self.pool.domain.sample(_ONLINE_CHUNK, self.rng)
-            lvs = region_log_volumes(self.net, zs, self.pool.k, self.pool.eps)[0]
-            with np.errstate(over="ignore"):
-                lw = self.rho * lvs
-            excess = float(lw.max()) - self._log_wmax
-            if excess > 0.0:
-                raise StateError(
-                    f"online envelope violated: a fresh candidate outweighs all "
-                    f"{self.pool.n} pool latents (log-weight excess {excess:.3g}); "
-                    f"build a larger pool"
-                )
-            accept = self.rng.uniform(size=_ONLINE_CHUNK) < np.exp(lw - self._log_wmax)
-            took = zs[accept]
-            take = min(s - filled, took.shape[0])
-            out[filled : filled + take] = took[:take]
-            filled += take
-            self._proposed += _ONLINE_CHUNK
-            self._accepted += int(accept.sum())
-            rejections += int(_ONLINE_CHUNK - accept.sum())
-            if rejections >= _STALL_LIMIT and filled < s:
-                raise SamplingTimeout(
-                    rejections, self._accepted / max(self._proposed, 1)
-                )
-        return out
-
-    @property
-    def acceptance_rate(self):
-        return self._accepted / max(self._proposed, 1)

@@ -14,7 +14,7 @@ from polarity_sampling import (
     region_log_volumes, save_model, write_csv, zoo,
 )
 from polarity_sampling.cli import main
-from polarity_sampling.errors import SamplingTimeout, ValidationError
+from polarity_sampling.errors import ValidationError
 from polarity_sampling.synth import SyntheticDataset
 
 
@@ -670,6 +670,10 @@ BAD_ARGUMENTS = {
                         "--out {dir}/d.csv", "rho must be finite"),
     "density_rho_inf": ("density eval --config {box_cfg} --rho inf --points {points} "
                         "--out {dir}/d.csv", "rho must be finite"),
+    "sample_rho_nan": ("sample --pool {pool} --model {model} --rho nan --s 10 "
+                       "--out {dir}/x.csv", "rho must be finite"),
+    "sample_rho_inf": ("sample --pool {pool} --model {model} --rho inf --s 10 "
+                       "--out {dir}/x.csv", "rho must be finite"),
     "pool_build_seed_negative": ("pool build --config {cfg} --seed -3 "
                                  "--out {dir}/p.json", "--seed"),
     "sample_seed_negative": ("sample --pool {pool} --model {model} --rho 0 --s 10 "
@@ -732,19 +736,6 @@ def test_bad_argument_exits_2(case, workdir, capsys):
     assert rc == 2, err
     assert err.startswith("error: ") and "Traceback" not in err
     assert names in err.lower()
-
-
-def test_sampling_timeout_exits_3(workdir, monkeypatch, capsys):
-    import polarity_sampling.harness as harness
-
-    def boom(config):
-        raise SamplingTimeout(10_000_000, 0.0)
-
-    monkeypatch.setattr(harness, "run_pareto", boom)
-    rc = main(["pareto", "--config", str(workdir / "cfg.json"),
-               "--out", str(workdir / "x.csv")])
-    assert rc == 3
-    assert "numerical error" in capsys.readouterr().err
 
 
 # 2**62 rows of 16 bytes or more exceed the largest array numpy can index;

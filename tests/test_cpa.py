@@ -474,6 +474,41 @@ def test_map_blocks_holds_blas_to_one_thread_and_restores_it(workers):
                 set_(count)
 
 
+def test_map_blocks_overlapping_calls_restore_blas_once_the_last_leaves(workers):
+    # call A holds BLAS, call B enters, A leaves, then B leaves: B must not
+    # restore the count of 1 it found on entry
+    a_in, b_in, a_out, got = (threading.Event(), threading.Event(),
+                              threading.Event(), {})
+    with workers(2):
+        controls = cpa._openblas_controls()
+        before = [get() for get, _ in controls]
+
+        def call(name, enter, wait_for):
+            def fn(rows):
+                enter.set()
+                assert wait_for.wait(10)
+                return [get() for get, _ in controls]
+            got[name] = cpa.map_blocks(fn, *_blocks(2))
+
+        a = threading.Thread(target=call, args=("a", a_in, b_in), daemon=True)
+        b = threading.Thread(target=call, args=("b", b_in, a_out), daemon=True)
+        try:
+            for _, set_ in controls:
+                set_(2)
+            a.start()
+            assert a_in.wait(10)
+            b.start()
+            a.join(10)
+            a_out.set()
+            b.join(10)
+            assert not a.is_alive() and not b.is_alive()
+            assert got == {"a": [[1] * len(controls)] * 2, "b": [[1] * len(controls)] * 2}
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, set_), count in zip(controls, before):
+                set_(count)
+
+
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
 def test_map_blocks_leaves_no_thread_behind(workers, fails):
     # each thread's first block waits for the other's, so both run blocks

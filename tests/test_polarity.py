@@ -7,9 +7,9 @@ from scipy import stats
 from scipy.special import ndtr, ndtri
 
 from polarity_sampling import (
-    ConfigError, CpaNetwork, InputError, LatentDomain, Layer, OnlineSampler,
-    PolaritySampler, SamplePool, build_pool, forward, polarity_weights,
-    StateError, identity_net, region_codes, region_log_volumes, sample_batch,
+    ConfigError, CpaNetwork, InputError, LatentDomain, Layer, PolaritySampler,
+    SamplePool, build_pool, forward, polarity_weights, identity_net,
+    region_codes, region_log_volumes, sample_batch,
 )
 from polarity_sampling import cpa, zoo
 
@@ -74,34 +74,6 @@ def test_feature_net_pool_scores_the_composed_net():
     assert output.space == "output"
     assert np.array_equal(output.z, pool.z)
     assert not np.array_equal(output.log_volumes, pool.log_volumes)
-
-
-def test_online_refuses_a_pool_scored_for_another_net():
-    net, feat = zoo.two_piece_net(), _feature_net(3.0)
-    output = build_pool(net, zoo.two_piece_domain(), 50, 1, seed=0)
-    composed = build_pool(net, zoo.two_piece_domain(), 50, 1, seed=0, feature_net=feat)
-    for pool, generator, feature_net, names in (
-        (output, net, feat, "'output'"),
-        (composed, net, None, "composed:"),
-        # same name, other weights: the label follows the content
-        (composed, net, _feature_net(4.0), "composed:"),
-        (output, zoo.abs_net(), None, "model"),
-        (composed, zoo.abs_net(), feat, "model"),
-    ):
-        with pytest.raises(ConfigError, match=names):
-            OnlineSampler(pool, generator, 0.0, seed=0, feature_net=feature_net)
-    for pool, feature_net in ((output, None), (composed, feat)):
-        zs = OnlineSampler(pool, net, 0.0, seed=0, feature_net=feature_net).draw(10)
-        assert zs.shape == (10, 1)
-
-
-def test_online_rejects_rho_without_finite_pool_weights():
-    # every log-volume of the slope-10 line is log 10
-    net = CpaNetwork("scale", (Layer(np.array([[10.0]]), np.zeros(1)),))
-    pool = build_pool(net, zoo.two_piece_domain(), 50, 1, seed=0)
-    for rho, names in ((1e308, "overflows"), (np.nan, "finite")):
-        with pytest.raises(InputError, match=names):
-            OnlineSampler(pool, net, rho, seed=0)
 
 
 def test_weights_rho_zero_uniform():
@@ -238,19 +210,6 @@ def test_pool_columns_do_not_depend_on_block_budget(net_seed, n, kind, data):
                 assert getattr(got, column).tobytes() == getattr(expected, column).tobytes()
 
 
-def test_online_draws_do_not_depend_on_block_budget():
-    net = zoo.random_net(13, input_dim=3)
-    pool = build_pool(net, _domains(3)["box"], 20000, 2, seed=1)
-    with _workers(1):
-        expected = OnlineSampler(pool, net, -1.0, seed=3).draw(500)
-    # one row per block, then three, then the default; on one and two threads
-    for budget in (1, 3 * 8 * 3 * 28, cpa.BLOCK_BYTES):
-        for workers in (1, 2):
-            with mock.patch.object(cpa, "BLOCK_BYTES", budget), _workers(workers):
-                got = OnlineSampler(pool, net, -1.0, seed=3).draw(500)
-            assert got.tobytes() == expected.tobytes()
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_non_finite_latent_in_the_last_block_raises_input_error(workers):
     net = zoo.random_net(13, input_dim=3)
@@ -259,62 +218,6 @@ def test_non_finite_latent_in_the_last_block_raises_input_error(workers):
     with mock.patch.object(cpa, "BLOCK_BYTES", 1), _workers(workers):
         with pytest.raises(InputError, match="latent input contains non-finite entries"):
             region_log_volumes(net, z, 2, 1e-12)
-
-
-def test_online_linear_net_matches_prior():
-    net = CpaNetwork("lin1", (Layer(np.array([[1.7]]), np.array([0.2])),))
-    dom = LatentDomain("uniform_box", lo=[-1.0], hi=[1.0])
-    pool = build_pool(net, dom, 50, 1, seed=0)
-    sampler = OnlineSampler(pool, net, 1.0, seed=8)
-    accepted = sampler.draw(2000)
-    assert sampler.acceptance_rate > 1e-3
-    direct = dom.sample(2000, np.random.default_rng(99))
-    assert stats.ks_2samp(accepted[:, 0], direct[:, 0]).pvalue > 0.01
-
-
-def test_online_mode_limit():
-    net = zoo.two_piece_net()
-    pool = build_pool(net, zoo.two_piece_domain(), 2000, 1, seed=1)
-    zs = OnlineSampler(pool, net, -20.0, seed=2).draw(5000)
-    assert np.mean(zs[:, 0] >= 0) >= 0.999
-
-
-def test_online_frequencies_match_target_density():
-    # two regions with equal prior mass and sigma products (2, 1/2):
-    # at rho=1 accepted frequencies should be (0.8, 0.2)
-    net = zoo.two_piece_net()
-    pool = build_pool(net, zoo.two_piece_domain(), 5000, 1, seed=3)
-    zs = OnlineSampler(pool, net, 1.0, seed=4).draw(100_000)
-    frac_large = np.mean(zs[:, 0] < 0)
-    assert abs(frac_large - 0.8) < 0.02
-
-
-def test_online_single_draw_api():
-    net = zoo.two_piece_net()
-    pool = build_pool(net, zoo.two_piece_domain(), 100, 1, seed=5)
-    z = OnlineSampler(pool, net, -1.0, seed=6).draw(1)[0]
-    assert z.shape == (1,)
-
-
-def test_online_envelope_violation_raises():
-    # the one pool latent sits in the small-slope region, so at rho=2 every
-    # candidate from the other region outweighs the pool maximum
-    net = zoo.bimodal_generator()
-    pool = build_pool(net, zoo.bimodal_domain(), 1, 1, seed=1)
-    assert pool.latents[0, 0] < 0
-    with pytest.raises(StateError, match="all 1 pool latents"):
-        OnlineSampler(pool, net, 2.0, seed=2).draw(1000)
-    # at rho=-2 that latent's region carries the largest weight: no violation
-    zs = OnlineSampler(pool, net, -2.0, seed=2).draw(1000)
-    assert np.mean(zs[:, 0] < 0) >= 0.99
-
-
-@pytest.mark.parametrize("s", [0, -1, 2**62])
-def test_online_draw_refuses_counts_outside_one_array(s):
-    net = zoo.two_piece_net()
-    pool = build_pool(net, zoo.two_piece_domain(), 100, 1, seed=5)
-    with pytest.raises(InputError):
-        OnlineSampler(pool, net, -1.0, seed=6).draw(s)
 
 
 def _two_piece_pool(n=100):
@@ -338,29 +241,11 @@ def test_sample_batch_refuses_a_non_integer_count():
         sample_batch(PolaritySampler(pool, -1.0), 2.5, seed=6)
 
 
-def test_online_draw_refuses_a_non_integer_count():
-    net, pool = _two_piece_pool()
-    with pytest.raises(InputError, match="s must be an integer, got 2.5"):
-        OnlineSampler(pool, net, -1.0, seed=6).draw(2.5)
-
-
 def test_counts_take_numpy_integers():
     net, pool = _two_piece_pool(np.int64(100))
     assert pool.n == 100
     assert build_pool(net, zoo.two_piece_domain(), 10, np.uint8(1), seed=5).k == 1
     assert sample_batch(PolaritySampler(pool, -1.0), np.int32(7), seed=6).shape == (7, 1)
-    assert OnlineSampler(pool, net, -1.0, seed=6).draw(np.int16(3)).shape == (3, 1)
-
-
-def test_batch_online_agreement():
-    net = zoo.two_piece_net()
-    pool = build_pool(net, zoo.two_piece_domain(), 5000, 1, seed=7)
-    for rho in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        batch = sample_batch(PolaritySampler(pool, rho), 100_000, seed=8)
-        online = OnlineSampler(pool, net, rho, seed=9).draw(100_000)
-        f_batch = np.mean(batch[:, 0] < 0)
-        f_online = np.mean(online[:, 0] < 0)
-        assert abs(f_batch - f_online) < 0.02
 
 
 def test_truncation_psi_one_statistics():

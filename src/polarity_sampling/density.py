@@ -203,21 +203,33 @@ class Histogram:
 def mc_density(net, draws, bins):
     """Normalized histogram of forward(net, z) over the supplied latents.
 
-    ``bins`` is a per-output-dimension list of bin edge arrays.  Mass is
-    normalized by the number of draws, so it totals 1 when the bins cover
-    the image.
+    ``draws`` is an (n, K) array of latents and ``bins`` a per-output-dimension
+    list of bin edge arrays.  Mass is normalized by the number of draws, so it
+    totals 1 when the bins cover the image.  Row blocks are forwarded and
+    binned on every CPU by ``cpa.map_blocks``; their integer counts add up
+    exactly, in block order.  Where OpenBLAS rounds a block's GEMM otherwise
+    than one call over all rows, a count can move only for an output within
+    an ulp of a bin edge.
     """
     draws = np.asarray(draws, dtype=np.float64)
-    if draws.size == 0:
+    if draws.ndim != 2 or draws.shape[1] != net.input_dim:
+        raise InputError(f"draws must be an (n, {net.input_dim}) array of latents, "
+                         f"got shape {draws.shape}")
+    if draws.shape[0] == 0:
         raise InputError("draws must be nonempty")
     edges = [np.asarray(e, dtype=np.float64) for e in bins]
+    if len(edges) != net.output_dim:
+        raise InputError(f"bins give {len(edges)} edge arrays for an output of "
+                         f"dim {net.output_dim}")
     for e in edges:
         if np.any(np.diff(e) <= 0):
             raise InputError("bin edges must be strictly increasing")
-    xs = cpa.forward(net, draws)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    counts, _ = np.histogramdd(xs, bins=edges)
+
+    def count(rows):
+        return np.histogramdd(cpa.forward(net, draws[rows]), bins=edges)[0]
+
+    widest = max([net.input_dim] + [layer.out_dim for layer in net.layers])
+    counts = sum(cpa.map_blocks(count, draws.shape[0], 8 * widest))
     return Histogram(edges=tuple(edges), mass=counts / draws.shape[0])
 
 

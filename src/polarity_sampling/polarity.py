@@ -359,6 +359,10 @@ def build_pool(net, domain, n, k, seed, feature_net=None, eps=DEFAULT_EPS):
 
 # --- samplers ----------------------------------------------------------------
 
+# per draw in a block of ``sample_batch``'s search: its rank, the sorted key
+# and the found index
+_SEARCH_ROW_BYTES = 3 * 8
+
 
 def polarity_weights(pool, rho):
     """Categorical weights softmax(rho * log_volumes), computed in log-space;
@@ -395,20 +399,23 @@ def sample_batch(sampler, s, seed):
 
     For a given seed the draws are exactly ``pool.latents[idx]`` with
     ``idx = np.random.default_rng(seed).choice(n, size=s, p=weights)``: the
-    same CDF, inverted at the same uniforms.  Each block of uniforms is
-    sorted before the binary search, so the searches walk the CDF in order
-    instead of missing cache; the index found for a key does not depend on
-    the order of the keys.
+    same CDF, inverted at the same uniforms, drawn in one call.  Each block
+    of uniforms is sorted before the binary search, so the searches walk
+    the CDF in order instead of missing cache, and ``cpa.map_blocks``
+    searches the blocks on every CPU; the index found for a key does not
+    depend on the order of the keys or on the block.
     """
-    s = _check_rows(s, 8 * (sampler.pool.domain.dim + 1), "s")   # each draw and its index
+    s = _check_rows(s, 8 * (sampler.pool.domain.dim + 2), "s")   # a draw, its uniform, its index
     rng = np.random.default_rng(seed)
     cdf = sampler.weights.cumsum()   # as Generator.choice builds it
     cdf /= cdf[-1]
+    u = rng.random(s)
     idx = np.empty(s, dtype=np.int64)
-    # per draw: its uniform, its rank, the sorted key and the found index
-    for rows in cpa.row_blocks(s, 4 * 8):
-        block = idx[rows]
-        u = rng.random(block.shape[0])
-        order = np.argsort(u)
-        block[order] = cdf.searchsorted(u[order], side="right")
-    return sampler.pool.latents[idx]
+
+    def search(rows):
+        keys = u[rows]
+        order = np.argsort(keys)
+        idx[rows][order] = cdf.searchsorted(keys[order], side="right")   # idx[rows] is a view
+
+    cpa.map_blocks(search, s, _SEARCH_ROW_BYTES)
+    return np.take(sampler.pool.latents, idx, axis=0)

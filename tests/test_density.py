@@ -1,14 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarity_sampling import (
     CpaNetwork, InputError, LatentDomain, Layer, PolaritySampler, ScaleError,
-    StateError, analytic_density, build_pool, enumerate_regions, identity_net,
+    StateError, analytic_density, build_pool, enumerate_regions, forward, identity_net,
     mc_density, normalization_constant, region_codes, sample_batch,
     total_variation,
 )
-from polarity_sampling import zoo
+from polarity_sampling import cpa, zoo
 from polarity_sampling.density import RegionAtlas
 
 
@@ -208,6 +210,73 @@ def test_mc_density_input_errors():
         mc_density(net, np.empty((0, 1)), [np.linspace(0, 1, 5)])
     with pytest.raises(InputError):
         mc_density(net, np.zeros((10, 1)), [np.array([0.0, 0.0, 1.0])])
+    edges = np.linspace(-1, 1, 5)
+    # one 1-D latent, and bins for too few or too many output dims
+    with pytest.raises(InputError, match=r"draws must be an \(n, 2\) array"):
+        mc_density(zoo.ramp_2d_net(), np.array([0.1, 0.2]), [edges, edges])
+    with pytest.raises(InputError, match="bins give 1 edge arrays"):
+        mc_density(zoo.ramp_2d_net(), np.zeros((10, 2)), [edges])
+    with pytest.raises(InputError, match="bins give 2 edge arrays"):
+        mc_density(net, np.zeros((10, 1)), [edges, edges])
+
+
+def _workers(count):
+    """Bin blocks on ``count`` threads (helpers run only with a BLAS control)."""
+    return mock.patch.object(cpa, "_workers", lambda: count)
+
+
+def _leaky_4_4_2():
+    """A 2-D all-leaky net of widths 4/4/2, the shape of the density-law bench net."""
+    rng = np.random.default_rng(5)
+    layers, d_in = [], 2
+    for d_out in (4, 4, 2):
+        layers.append(Layer(rng.standard_normal((d_out, d_in)), 0.1 * rng.standard_normal(d_out),
+                            "leaky_relu", 0.3))
+        d_in = d_out
+    return CpaNetwork("leaky_4_4_2", tuple(layers))
+
+
+def _blocked_histograms(net, draws, bins):
+    """mc_density's mass at block budgets of one row, three rows and the
+    default, each on one and two threads."""
+    widest = max([net.input_dim] + [layer.out_dim for layer in net.layers])
+    for budget in (1, 3 * 8 * widest, cpa.BLOCK_BYTES):
+        for workers in (1, 2):
+            with mock.patch.object(cpa, "BLOCK_BYTES", budget), _workers(workers):
+                yield mc_density(net, draws, bins).mass
+
+
+@pytest.mark.parametrize("net, domain", [
+    (zoo.two_piece_net(), zoo.two_piece_domain()),
+    (zoo.ramp_2d_net(), zoo.ramp_2d_domain()),
+    (_leaky_4_4_2(), LatentDomain("uniform_box", lo=[-1.0, -1.0], hi=[1.0, 1.0])),
+])
+def test_mc_density_equals_one_histogram_of_the_forward(net, domain):
+    draws = domain.sample(2000, np.random.default_rng(3))
+    xs = forward(net, draws)
+    bins = [np.linspace(lo, hi, 13) for lo, hi in zip(xs.min(axis=0), xs.max(axis=0))]
+    expected = np.histogramdd(xs, bins)[0] / draws.shape[0]
+    for mass in _blocked_histograms(net, draws, bins):
+        assert mass.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+def test_mc_density_does_not_depend_on_blocks_or_workers(net_seed, n):
+    # a random net (widths up to 32) with a linear 2-D head: histogramdd keeps
+    # 3^D cells even for one bin per dim, so the output dim stays small
+    body = zoo.random_net(net_seed)
+    rng = np.random.default_rng(net_seed)
+    head = Layer(rng.standard_normal((2, body.output_dim)), np.zeros(2))
+    net = CpaNetwork("head", body.layers + (head,))
+    draws = rng.standard_normal((n, net.input_dim))
+    xs = forward(net, draws)
+    bins = [np.linspace(lo - 1.0, hi + 1.0, 9) for lo, hi in zip(xs.min(axis=0),
+                                                                  xs.max(axis=0))]
+    first, *rest = _blocked_histograms(net, draws, bins)
+    assert first.sum() == pytest.approx(1.0)
+    for mass in rest:
+        assert mass.tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("make_net, make_domain", [

@@ -11,7 +11,7 @@ from polarity_sampling import (
     SamplePool, build_pool, forward, polarity_weights, identity_net,
     region_codes, region_log_volumes, sample_batch,
 )
-from polarity_sampling import cpa, zoo
+from polarity_sampling import cpa, polarity, zoo
 
 
 def pool_from_log_volumes(lvs):
@@ -151,8 +151,13 @@ def test_determinism_bit_for_bit():
 
 
 
-# one more draw than fits in a block of 8-byte rows: crosses a block boundary
-_CROSSING_S = cpa.BLOCK_BYTES // 8 + 1
+def _workers(count):
+    """Score blocks on ``count`` threads (helpers run only with a BLAS control)."""
+    return mock.patch.object(cpa, "_workers", lambda: count)
+
+
+# one more draw than fits in one block of the search: crosses a block boundary
+_CROSSING_S = cpa.BLOCK_BYTES // polarity._SEARCH_ROW_BYTES + 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,14 +178,11 @@ def test_sample_batch_equals_generator_choice(family, s, seed, data):
     # small budgets put block boundaries inside short draws
     budget = cpa.BLOCK_BYTES if s == _CROSSING_S else data.draw(
         st.sampled_from([cpa.BLOCK_BYTES, 1, 100]))
-    with mock.patch.object(cpa, "BLOCK_BYTES", budget):
-        got = sample_batch(sampler, s, seed)
     idx = np.random.default_rng(seed).choice(n, size=s, p=sampler.weights)
-    assert got.tobytes() == sampler.pool.z[idx].tobytes()
-
-def _workers(count):
-    """Score blocks on ``count`` threads (helpers run only with a BLAS control)."""
-    return mock.patch.object(cpa, "_workers", lambda: count)
+    for workers in (1, 2):
+        with mock.patch.object(cpa, "BLOCK_BYTES", budget), _workers(workers):
+            got = sample_batch(sampler, s, seed)
+        assert got.tobytes() == sampler.pool.z[idx].tobytes()
 
 
 def _domains(dim):

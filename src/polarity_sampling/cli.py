@@ -125,8 +125,7 @@ def _write_points(path, pts):
 def _cmd_pool_build(args):
     config = _load_config(args)
     pool = build_pool(config.load_net(), config.load_domain(), config.n, config.k,
-                      config.seed, feature_net=config.load_feature_net(),
-                      eps=config.eps)
+                      config.seed, feature_net=config.load_feature_net())
     pool.save(args.out)
     print(f"pool: {pool.n} records, {pool.distinct_code_count()} distinct regions "
           f"-> {args.out}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ValidationError, finite_array, read_json
+from .errors import InputError, ValidationError, finite_array, read_field, read_json
 
 ACTIVATIONS = ("identity", "relu", "leaky_relu")
 
@@ -332,32 +332,23 @@ def to_dict(net):
 
 
 def from_dict(data):
-    if not isinstance(data, dict):
-        raise ValidationError("model document must be an object")
+    read_field(data, dict, "model document", ValidationError)
     for key in ("name", "input_dim", "layers"):
         if key not in data:
             raise ValidationError(f"model document missing field {key!r}")
-    if not isinstance(data["layers"], list):
-        raise ValidationError("model field 'layers' must be a list")
-    input_dim = data["input_dim"]
-    if isinstance(input_dim, bool) or not isinstance(input_dim, int):
-        raise ValidationError(f"model field 'input_dim' must be an integer, "
-                              f"got {input_dim!r}")
+    input_dim = read_field(data["input_dim"], int, "model field 'input_dim'", ValidationError)
     layers = []
-    for i, spec in enumerate(data["layers"]):
-        if not isinstance(spec, dict):
-            raise ValidationError(f"layer {i}: expected an object")
-        if "weight" not in spec:
+    for i, spec in enumerate(read_field(data["layers"], list, "model field 'layers'",
+                                        ValidationError)):
+        if "weight" not in read_field(spec, dict, f"layer {i}", ValidationError):
             raise ValidationError(f"layer {i}: no weight matrix")
-        alpha = spec.get("alpha", 0.0)
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-            raise ValidationError(f"layer {i}: alpha must be a number, got {alpha!r}")
+        alpha = read_field(spec.get("alpha", 0.0), float, f"layer {i}: alpha",
+                           ValidationError)
         try:
             weight = finite_array(spec["weight"], "weight", ValidationError)
             bias = finite_array(spec.get("bias", np.zeros(weight.shape[:1])), "bias",
                                 ValidationError)
-            layers.append(Layer(weight, bias, spec.get("activation", "identity"),
-                                float(alpha)))
+            layers.append(Layer(weight, bias, spec.get("activation", "identity"), alpha))
         except ValidationError as exc:
             raise ValidationError(f"layer {i}: {exc}") from exc
     net = CpaNetwork(name=str(data["name"]), layers=tuple(layers))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cpa
-from .errors import InputError, ScaleError, StateError
+from .errors import InputError, ScaleError, StateError, read_field
 
 # relative cutoff below which singular values count as zero in pseudo-determinants
 RANK_RTOL = 1e-10
@@ -82,8 +82,11 @@ def enumerate_regions(net, domain, resolution=64, seed=0):
             f"exact atlases support K <= 3 (got K={net.input_dim}); "
             f"use a sampled pool instead"
         )
-    if resolution < 32:
-        raise InputError("resolution must be at least 32 per dimension")
+    row_bytes = 8 * domain.dim + net.num_units   # a fine-grid point and its code
+    # one axis of the fine grid must fit, so that its row count can be printed
+    resolution = read_field(resolution, int, "resolution", InputError, 32, 2 * row_bytes)
+    read_field((2 * resolution) ** domain.dim, int, f"resolution={resolution}: grid",
+               InputError, row_bytes=row_bytes)
 
     coarse = _grid_points(domain, resolution)
     fine = _grid_points(domain, 2 * resolution)

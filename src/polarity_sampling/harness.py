@@ -9,18 +9,17 @@ making "polarity off" and "rho = 0" bit-identical.
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import cpa
-from .errors import ConfigError, read_json
+from .errors import ConfigError, read_field, read_json
 from .metrics import (
     SampleSet, frechet_distance, nn_distances, nn_summary, path_length,
     precision_recall,
 )
-from .polarity import DEFAULT_EPS, LatentDomain, PolaritySampler, build_pool, sample_batch
+from .polarity import LatentDomain, PolaritySampler, build_pool, sample_batch
 from .synth import SyntheticDataset
 
 
@@ -30,19 +29,16 @@ def child_seed(master, label, *indices):
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big") >> 1
 
 
-# numeric config fields and grids, with the types their values must have
-_NUMBER_FIELDS = {
-    **dict.fromkeys(("n", "k", "s", "seed", "k_nn", "j", "n_pairs", "m_top",
-                     "resolution"), int),
-    "eps": (int, float), "epsilon": (int, float),
+# config field -> (kind, least), as ``read_field`` takes them: paths, counts,
+# integers, numbers and grids of either ([kind])
+_FIELDS = {
+    # open() would take an integer as a file descriptor (0 reads stdin)
+    "model_path": (str, None), "feature_model_path": (str, None),
+    **dict.fromkeys(("n", "k", "s", "k_nn", "j", "n_pairs", "m_top"), (int, 1)),
+    "seed": (int, 0), "resolution": (int, None), "epsilon": (float, None),
+    "rho_grid": ([float], None), "psi_grid": ([float], None),
+    "n_grid": ([int], None), "k_grid": ([int], None),
 }
-_COUNT_FIELDS = ("n", "k", "s", "k_nn", "j", "n_pairs", "m_top")
-_GRID_FIELDS = {"rho_grid": (int, float), "psi_grid": (int, float),
-                "n_grid": int, "k_grid": int}
-
-
-def _has_type(value, kind):
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -54,7 +50,6 @@ class ExperimentConfig:
     feature_model_path: str = None
     n: int = 200_000          # pool size; shrink for quick runs
     k: int = 30               # top-k singular values
-    eps: float = DEFAULT_EPS
     psi_grid: list = field(default_factory=lambda: [1.0])
     s: int = 2000             # samples drawn per grid point
     k_nn: int = 3
@@ -70,38 +65,17 @@ class ExperimentConfig:
     resolution: int = 64
 
     def __post_init__(self):
-        # open() would take an integer as a file descriptor (0 reads stdin)
-        for name, kinds in (("model_path", str), ("feature_model_path", (str, type(None)))):
-            if not isinstance(getattr(self, name), kinds):
-                raise ConfigError(f"config field {name!r} must be a path string, "
-                                  f"got {getattr(self, name)!r}")
-        for name, kind in _NUMBER_FIELDS.items():
+        for name, (kind, least) in _FIELDS.items():
             value = getattr(self, name)
-            if not _has_type(value, kind):
-                what = "an integer" if kind is int else "a number"
-                raise ConfigError(f"config field {name!r} must be {what}, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"config field 'seed' must be non-negative, got {self.seed}")
-        for name in ("eps", "epsilon"):
-            if not 0.0 < getattr(self, name) <= sys.float_info.max:   # ints past it too
-                raise ConfigError(f"config field {name!r} must be finite and > 0, "
-                                  f"got {getattr(self, name)!r}")
-        for name, kind in _GRID_FIELDS.items():
-            grid = getattr(self, name)
-            if grid is not None and not (
-                isinstance(grid, list) and all(_has_type(v, kind) for v in grid)
-            ):
-                what = "integers" if kind is int else "numbers"
-                raise ConfigError(f"config field {name!r} must be a list of {what}, "
-                                  f"got {grid!r}")
+            # a field that defaults to None (feature model, ablation grids) may be null
+            if value is not None or getattr(ExperimentConfig, name, 0) is not None:
+                read_field(value, kind, f"config field {name!r}", ConfigError, least)
+        if self.epsilon <= 0:
+            raise ConfigError(f"config field 'epsilon' must be above 0, got {self.epsilon}")
         if not self.rho_grid:
             raise ConfigError("rho grid must be nonempty")
         if not self.psi_grid:
             raise ConfigError("psi grid must be nonempty")
-        for name in _COUNT_FIELDS:
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"config field {name!r} must be at least 1, got {value}")
 
     def to_json(self, path=None):
         doc = {k: v for k, v in asdict(self).items() if v is not None}
@@ -155,8 +129,7 @@ def _load(config):
 
 
 def _pool_for(config, net, feature_net, domain, seed):
-    return build_pool(net, domain, config.n, config.k, seed,
-                      feature_net=feature_net, eps=config.eps)
+    return build_pool(net, domain, config.n, config.k, seed, feature_net=feature_net)
 
 
 def _generate(config, net, pool, rho, seed):
@@ -167,6 +140,9 @@ def _generate(config, net, pool, rho, seed):
 def run_pareto(config):
     """(rho, psi) sweep of precision/recall/Fréchet against the reference set."""
     net, feature_net, base_domain = _load(config)
+    if base_domain.psi is not None:
+        raise ConfigError("pareto truncates the prior through psi_grid; give it a "
+                          "domain without psi")
     reference = SampleSet(config.load_reference())
     rows = []
     for i_psi, psi in enumerate(config.psi_grid):
@@ -193,11 +169,9 @@ def run_ablation(config):
     rows = []
     for i_n, n in enumerate(config.n_grid):
         for i_k, k in enumerate(config.k_grid):
-            pool = build_pool(
-                net, domain, int(n), int(k),
-                child_seed(config.seed, "ablate_pool", i_n, i_k),
-                feature_net=feature_net, eps=config.eps,
-            )
+            pool = build_pool(net, domain, int(n), int(k),
+                              child_seed(config.seed, "ablate_pool", i_n, i_k),
+                              feature_net=feature_net)
             fake = SampleSet(
                 _generate(config, net, pool, rho,
                           child_seed(config.seed, "ablate_sample", i_n, i_k)))

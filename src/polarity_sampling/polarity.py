@@ -10,20 +10,21 @@ rho > 0 on the anti-modes, rho = 0 reproduces the prior.
 import base64
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cpa
-from .errors import ConfigError, InputError, ValidationError, finite_array, read_json
+from .errors import (
+    ConfigError, InputError, ValidationError, finite_array, read_field, read_json,
+)
 from .spectral import batch_top_k_singular_values
 
 DEFAULT_EPS = 1e-12
 POOL_FORMAT_VERSION = 2
 # pool file fields: header JSON types, then base64 columns with their dtypes
 _POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
-                "eps": float, "space": str, "seed": int, "code_bytes": int,
+                "eps": float, "seed": int, "code_bytes": int,
                 "z": str, "log_volumes": str, "codes": str}
 _POOL_COLUMNS = {"z": "<f8", "log_volumes": "<f8", "codes": "u1"}
 
@@ -119,9 +120,7 @@ class LatentDomain:
     @staticmethod
     def from_dict(d):
         """Inverse of ``to_dict``; any malformed document is a ConfigError."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"domain must be an object, not {type(d).__name__}")
-        kind = d.get("kind")
+        kind = read_field(d, dict, "domain", ConfigError).get("kind")
         fields = {"uniform_box": ("lo", "hi"), "gaussian": ("mean", "std")}.get(kind)
         if fields is None:
             raise ConfigError(f"unknown domain kind {kind!r}")
@@ -131,8 +130,8 @@ class LatentDomain:
                 raise ConfigError(f"{kind} domain has no field {key!r}")
             spec[key] = finite_array(d[key], f"domain field {key!r}", ConfigError)
         psi = d.get("psi") if kind == "gaussian" else None
-        if isinstance(psi, bool) or not isinstance(psi, (int, float, type(None))):
-            raise ConfigError(f"domain field 'psi' must be a number, got {psi!r}")
+        if psi is not None:
+            read_field(psi, float, "domain field 'psi'", ConfigError)
         try:
             return LatentDomain(kind, psi=psi, **spec)
         except InputError as exc:
@@ -155,7 +154,6 @@ class SamplePool:
     codes: np.ndarray          # (n, code bytes) uint8
     k: int
     eps: float
-    space: str            # "output" or "composed:<feature net fingerprint>"
     seed: int
     domain: LatentDomain
     net_fingerprint: str
@@ -207,7 +205,6 @@ class SamplePool:
             "n": self.n,
             "k": int(self.k),
             "eps": float(self.eps),
-            "space": self.space,
             "seed": int(self.seed),
             "code_bytes": self.codes.shape[1],
         }
@@ -230,10 +227,7 @@ class SamplePool:
         for key, kind in _POOL_HEADER.items():
             if key not in doc:
                 raise ValidationError(f"{path}: pool file has no field {key!r}")
-            if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
-                raise ValidationError(
-                    f"{path}: pool field {key!r} has type {type(doc[key]).__name__}"
-                )
+            read_field(doc[key], kind, f"{path}: pool field {key!r}", ValidationError)
         try:
             domain = LatentDomain.from_dict(doc["domain"])
         except ConfigError as exc:
@@ -259,7 +253,6 @@ class SamplePool:
                 **columns,
                 k=doc["k"],
                 eps=doc["eps"],
-                space=doc["space"],
                 seed=doc["seed"],
                 domain=domain,
                 net_fingerprint=doc["net_fingerprint"],
@@ -293,43 +286,21 @@ def region_log_volumes(net, zs, k, eps):
     return lvs, bits
 
 
-def _integer(value, what):
-    """``value`` as an int (numpy integers pass); InputError for any other type."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _check_rows(count, row_bytes, what):
-    """``count`` as an int; InputError unless it is an integer of at least 1
-    whose rows of ``row_bytes`` fit in one numpy array."""
-    count = _integer(count, what)
-    if count < 1:
-        raise InputError(f"{what} must be at least 1, got {count}")
-    if count > np.iinfo(np.intp).max // row_bytes:
-        raise InputError(f"{what}={count} rows of {row_bytes} bytes exceed any array")
-    return count
-
-
-def build_pool(net, domain, n, k, seed, feature_net=None, eps=DEFAULT_EPS):
+def build_pool(net, domain, n, k, seed, feature_net=None):
     """Draw n latents i.i.d. from the domain and score each one's region.
 
     Deterministic given the seed; pool construction and later sampling use
     independent RNG streams, so the pool is reusable across sample sizes.
     """
-    # the network the pool scores and its ``space`` label: the generator, or the
-    # generator composed with the feature net, named by that net's content hash
-    eff, space = net, "output"
-    if feature_net is not None:
-        eff = cpa.compose(net, feature_net)
-        space = "composed:" + cpa.fingerprint(feature_net)
+    # the network the pool scores: the generator, or it composed with the feature net
+    eff = net if feature_net is None else cpa.compose(net, feature_net)
     if domain.dim != eff.input_dim:
         raise InputError(
             f"domain dim {domain.dim} does not match network input {eff.input_dim}"
         )
-    n = _check_rows(n, 8 * (eff.input_dim + 1) + eff.num_units, "n")   # z, score, bits
-    k = _integer(k, "k")
+    # a row of z, its score and its bits
+    n = read_field(n, int, "n", InputError, 1, 8 * (eff.input_dim + 1) + eff.num_units)
+    k = read_field(k, int, "k", InputError)
     # every slope factors through each layer, so its rank is at most the
     # narrowest width; singular values past it are exact zeros
     widths = [eff.input_dim] + [layer.out_dim for layer in eff.layers]
@@ -343,14 +314,13 @@ def build_pool(net, domain, n, k, seed, feature_net=None, eps=DEFAULT_EPS):
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     z = domain.sample(n, rng)
-    lvs, bits = region_log_volumes(eff, z, k, eps)
+    lvs, bits = region_log_volumes(eff, z, k, DEFAULT_EPS)
     return SamplePool(
         z=z,
         log_volumes=lvs,
         codes=np.packbits(bits, axis=1),
         k=k,
-        eps=eps,
-        space=space,
+        eps=DEFAULT_EPS,
         seed=seed,
         domain=domain,
         net_fingerprint=cpa.fingerprint(net),
@@ -367,7 +337,7 @@ _SEARCH_ROW_BYTES = 3 * 8
 def polarity_weights(pool, rho):
     """Categorical weights softmax(rho * log_volumes), computed in log-space;
     an entry whose score overflows to -inf just gets weight 0."""
-    if not np.isfinite(rho):
+    if not math.isfinite(rho):   # numpy takes no int past 64 bits
         raise InputError("rho must be finite")
     with np.errstate(over="ignore"):
         scores = rho * pool.log_volumes
@@ -405,7 +375,8 @@ def sample_batch(sampler, s, seed):
     searches the blocks on every CPU; the index found for a key does not
     depend on the order of the keys or on the block.
     """
-    s = _check_rows(s, 8 * (sampler.pool.domain.dim + 2), "s")   # a draw, its uniform, its index
+    # a draw, its uniform and its index
+    s = read_field(s, int, "s", InputError, 1, 8 * (sampler.pool.domain.dim + 2))
     rng = np.random.default_rng(seed)
     cdf = sampler.weights.cumsum()   # as Generator.choice builds it
     cdf /= cdf[-1]

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, finite_array
+from .errors import ConfigError, finite_array, read_field
 
 # tolerance of the covariance checks; numpy's multivariate_normal warns past
 # the same 1e-8
@@ -30,19 +30,14 @@ class SyntheticDataset:
     def __post_init__(self):
         if self.kind != "gaussian_mixture":
             raise ConfigError(f"unknown synthetic dataset kind {self.kind!r}")
-        for key, least in (("size", 1), ("seed", 0)):
-            value = getattr(self, key)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < least):
-                raise ConfigError(f"dataset field {key!r} must be an integer >= "
-                                  f"{least}, got {value!r}")
-        self._mixture()
+        read_field(self.seed, int, "dataset field 'seed'", ConfigError, 0)
+        # a row of the sample and its component
+        dim = self._mixture()[1].shape[1]
+        read_field(self.size, int, "dataset field 'size'", ConfigError, 1, 8 * (dim + 1))
 
     def _mixture(self):
         """(weights, means, covariance matrices) of the spec."""
-        params = self.params
-        if not isinstance(params, dict):
-            raise ConfigError(f"dataset field 'params' must be an object: {params!r}")
+        params = read_field(self.params, dict, "dataset field 'params'", ConfigError)
         for key in ("weights", "means", "covs"):
             if key not in params:
                 raise ConfigError(f"dataset params have no field {key!r}")
@@ -95,9 +90,8 @@ class SyntheticDataset:
 
     @staticmethod
     def from_dict(d):
-        if not isinstance(d, dict):
-            raise ConfigError(f"synthetic dataset spec must be an object: {d!r}")
         try:
-            return SyntheticDataset(**d)
+            return SyntheticDataset(**read_field(d, dict, "synthetic dataset spec",
+                                                 ConfigError))
         except TypeError as exc:
             raise ConfigError(f"synthetic dataset spec: {exc}") from exc

@@ -10,8 +10,8 @@ import pytest
 
 import polarity_sampling
 from polarity_sampling import (
-    CpaNetwork, ExperimentConfig, Layer, SamplePool, compose, fingerprint,
-    region_log_volumes, save_model, write_csv, zoo,
+    CpaNetwork, ExperimentConfig, Layer, SamplePool, compose, region_log_volumes,
+    save_model, write_csv, zoo,
 )
 from polarity_sampling.cli import main
 from polarity_sampling.errors import ValidationError
@@ -403,7 +403,6 @@ def test_feature_model_flag_scores_the_composed_net(workdir):
     assert main(["pool", "build", "--config", str(workdir / "cfg.json"),
                  "--feature-model", str(workdir / "feat.json"), "--out", str(pool)]) == 0
     loaded = SamplePool.load(pool)
-    assert loaded.space == "composed:" + fingerprint(feat)
     expected, _ = region_log_volumes(compose(zoo.bimodal_generator(), feat), loaded.z,
                                      loaded.k, loaded.eps)
     assert np.array_equal(loaded.log_volumes, expected)
@@ -546,14 +545,15 @@ MALFORMED_INPUTS = {
     "n_pairs_list": (*_config_edit(n_pairs=[10]), "'n_pairs'"),
     "m_top_bool": (*_config_edit(m_top=False), "'m_top'"),
     "resolution_string": (*_config_edit(resolution="64"), "'resolution'"),
-    "eps_string": (*_config_edit(eps="x"), "'eps'"),
-    "eps_negative": (*_config_edit(eps=-1), "'eps'"),
-    "eps_zero": (*_config_edit(eps=0), "'eps'"),
+    "resolution_grid_beyond_any_array": (*_config_edit(resolution=10**30), "resolution="),
+    # the pool's eps is fixed; a config that still sets it is refused
+    "eps_field_removed": (*_config_edit(eps=1e-12), "'eps'"),
     "epsilon_nan": (*_config_edit(epsilon=float("nan")), "'epsilon'"),
     "epsilon_null": (*_config_edit(epsilon=None), "'epsilon'"),
     "epsilon_int_beyond_float": (*_config_edit(epsilon=10**400), "'epsilon'"),
     "rho_grid_not_list": (*_config_edit(rho_grid=5), "'rho_grid'"),
     "rho_grid_string_entry": (*_config_edit(rho_grid=["a"]), "'rho_grid'"),
+    "rho_grid_int_beyond_float": (*_config_edit(rho_grid=[10**400]), "'rho_grid'"),
     "psi_grid_bool_entry": (*_config_edit(psi_grid=[True]), "'psi_grid'"),
     "n_grid_float_entry": (*_config_edit(n_grid=[100.5]), "'n_grid'"),
     "k_grid_string": (*_config_edit(k_grid="1"), "'k_grid'"),
@@ -618,6 +618,7 @@ MALFORMED_REFERENCES = {
     "params_missing_means": (lambda ref: {**ref, "params": {
         k: v for k, v in ref["params"].items() if k != "means"}}, "'means'"),
     "size_string": (lambda ref: {**ref, "size": "x"}, "'size'"),
+    "size_beyond_any_array": (lambda ref: {**ref, "size": 10**30}, "'size'"),
     "size_missing": (lambda ref: {k: v for k, v in ref.items() if k != "size"},
                      "'size'"),
     "seed_negative": (lambda ref: {**ref, "seed": -1}, "'seed'"),
@@ -651,6 +652,31 @@ def test_malformed_reference_exits_2(case, workdir, capsys, recwarn):
     assert rc == 2, err
     assert err.startswith("error: ") and names in err
     assert not recwarn.list, [str(w.message) for w in recwarn]
+
+
+def test_pareto_refuses_a_truncated_domain(workdir, capsys):
+    # pareto truncates through psi_grid: with a domain psi, its psi = 1.0 row
+    # would be truncated and every other row replace that psi
+    cfg = workdir / "cfg.json"
+    doc = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({**doc, "domain": {**doc["domain"], "psi": 0.3},
+                               "psi_grid": [1.0]}))
+    rc = main(["pareto", "--config", str(cfg), "--out", str(workdir / "p.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and "psi_grid" in err
+    assert main(["pool", "build", "--config", str(cfg),
+                 "--out", str(workdir / "pool.json")]) == 0
+    assert main(["modes", "--config", str(cfg), "--out", str(workdir / "m.json")]) == 0
+
+
+def test_integer_too_long_to_parse_exits_2(workdir, capsys):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(cfg.read_text().replace('"seed": ', '"seed": ' + "9" * 5000))
+    rc = main(["pool", "build", "--config", str(cfg), "--out", str(workdir / "p.json")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith(f"error: cannot read {cfg}") and "Traceback" not in err
 
 
 # case -> (argv over the fixture's files, text the error names)

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polarity_sampling import (
     CpaNetwork, InputError, LatentDomain, Layer, PolaritySampler, ScaleError,
@@ -60,6 +60,13 @@ def test_enumerate_rejects_gaussian_domain():
     with pytest.raises(InputError):
         enumerate_regions(zoo.two_piece_net(),
                           LatentDomain("gaussian", mean=[0.0], std=[1.0]), 32)
+
+
+@pytest.mark.parametrize("resolution", [2**20, 10**30, 10**1500])
+def test_enumerate_rejects_a_grid_beyond_any_array(resolution):
+    box = LatentDomain("uniform_box", lo=[-1] * 3, hi=[1] * 3)
+    with pytest.raises(InputError, match="exceed any array"):
+        enumerate_regions(identity_net(3), box, resolution)
 
 
 def test_enumerate_rejects_coarse_grid():
@@ -262,9 +269,14 @@ def test_mc_density_equals_one_histogram_of_the_forward(net, domain):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+# both draws map to one output on a bin edge, which a one-row block's forward
+# rounds one ulp away from a two-row block's: the budgets bin it differently
+@example(net_seed=145, n=2)
 def test_mc_density_does_not_depend_on_blocks_or_workers(net_seed, n):
     # a random net (widths up to 32) with a linear 2-D head: histogramdd keeps
-    # 3^D cells even for one bin per dim, so the output dim stays small
+    # 3^D cells even for one bin per dim, so the output dim stays small.  At
+    # each block budget the mass is one sum of its own blocks' histograms, on
+    # one thread or two; across budgets a forward may round otherwise.
     body = zoo.random_net(net_seed)
     rng = np.random.default_rng(net_seed)
     head = Layer(rng.standard_normal((2, body.output_dim)), np.zeros(2))
@@ -273,10 +285,15 @@ def test_mc_density_does_not_depend_on_blocks_or_workers(net_seed, n):
     xs = forward(net, draws)
     bins = [np.linspace(lo - 1.0, hi + 1.0, 9) for lo, hi in zip(xs.min(axis=0),
                                                                   xs.max(axis=0))]
-    first, *rest = _blocked_histograms(net, draws, bins)
-    assert first.sum() == pytest.approx(1.0)
-    for mass in rest:
-        assert mass.tobytes() == first.tobytes()
+    widest = max([net.input_dim] + [layer.out_dim for layer in net.layers])
+    masses = iter(_blocked_histograms(net, draws, bins))
+    for budget in (1, 3 * 8 * widest, cpa.BLOCK_BYTES):
+        with mock.patch.object(cpa, "BLOCK_BYTES", budget):
+            blocks = list(cpa.row_blocks(n, 8 * widest))
+        expected = sum(np.histogramdd(forward(net, draws[rows]), bins)[0]
+                       for rows in blocks) / n
+        assert expected.sum() == pytest.approx(1.0)
+        assert next(masses).tobytes() == next(masses).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("make_net, make_domain", [

@@ -18,7 +18,7 @@ def pool_from_log_volumes(lvs):
     n = len(lvs)
     return SamplePool(
         z=np.arange(n, dtype=np.float64)[:, None], log_volumes=lvs,
-        codes=np.zeros((n, 1), dtype=np.uint8), k=1, eps=1e-12, space="output",
+        codes=np.zeros((n, 1), dtype=np.uint8), k=1, eps=1e-12,
         seed=0, domain=LatentDomain("uniform_box", lo=[-1.0], hi=[1.0]),
         net_fingerprint="test",
     )
@@ -65,13 +65,11 @@ def _feature_net(slope):
 def test_feature_net_pool_scores_the_composed_net():
     net, feat = zoo.two_piece_net(), _feature_net(3.0)
     pool = build_pool(net, zoo.two_piece_domain(), 300, 1, seed=4, feature_net=feat)
-    assert pool.space == "composed:" + cpa.fingerprint(feat)
     assert pool.net_fingerprint == cpa.fingerprint(net)
     lvs, bits = region_log_volumes(cpa.compose(net, feat), pool.z, 1, pool.eps)
     assert np.array_equal(pool.log_volumes, lvs)
     assert np.array_equal(pool.codes, np.packbits(bits, axis=1))
     output = build_pool(net, zoo.two_piece_domain(), 300, 1, seed=4)
-    assert output.space == "output"
     assert np.array_equal(output.z, pool.z)
     assert not np.array_equal(output.log_volumes, pool.log_volumes)
 
@@ -79,6 +77,12 @@ def test_feature_net_pool_scores_the_composed_net():
 def test_weights_rho_zero_uniform():
     pool = pool_from_log_volumes([0.3, -2.0, 5.0, 1.1])
     np.testing.assert_allclose(polarity_weights(pool, 0.0), np.full(4, 0.25))
+
+
+def test_weights_take_an_int_past_64_bits():
+    # a config's rho_grid may hold any integer a float holds
+    pool = pool_from_log_volumes([0.3, -2.0, 5.0, 1.1])
+    assert np.array_equal(polarity_weights(pool, 2**70), polarity_weights(pool, 2.0**70))
 
 
 def test_weights_hand_values():
@@ -339,7 +343,7 @@ def test_distinct_code_count_matches_unique_rows(n, width, alphabet, seed):
     codes = np.random.default_rng(seed).integers(0, alphabet, (n, width)).astype(np.uint8)
     pool = SamplePool(
         z=np.zeros((n, 1)), log_volumes=np.zeros(n), codes=codes, k=1, eps=1e-12,
-        space="output", seed=0, domain=LatentDomain("uniform_box", lo=[-1.0], hi=[1.0]),
+        seed=0, domain=LatentDomain("uniform_box", lo=[-1.0], hi=[1.0]),
         net_fingerprint="test",
     )
     assert pool.distinct_code_count() == len(np.unique(codes, axis=0))

@@ -546,8 +546,10 @@ MALFORMED_INPUTS = {
     "m_top_bool": (*_config_edit(m_top=False), "'m_top'"),
     "resolution_string": (*_config_edit(resolution="64"), "'resolution'"),
     "resolution_grid_beyond_any_array": (*_config_edit(resolution=10**30), "resolution="),
-    # the pool's eps is fixed; a config that still sets it is refused
-    "eps_field_removed": (*_config_edit(eps=1e-12), "'eps'"),
+    # the pool's eps is fixed; a config that still sets it, to any value, is refused
+    "eps_string": (*_config_edit(eps="x"), "'eps'"),
+    "eps_negative": (*_config_edit(eps=-1), "'eps'"),
+    "eps_zero": (*_config_edit(eps=0), "'eps'"),
     "epsilon_nan": (*_config_edit(epsilon=float("nan")), "'epsilon'"),
     "epsilon_null": (*_config_edit(epsilon=None), "'epsilon'"),
     "epsilon_int_beyond_float": (*_config_edit(epsilon=10**400), "'epsilon'"),

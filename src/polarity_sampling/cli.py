@@ -127,8 +127,7 @@ def _cmd_pool_build(args):
     pool = build_pool(config.load_net(), config.load_domain(), config.n, config.k,
                       config.seed, feature_net=config.load_feature_net())
     pool.save(args.out)
-    print(f"pool: {pool.n} records, {pool.distinct_code_count()} distinct regions "
-          f"-> {args.out}")
+    print(f"pool: {pool.n} records, {pool.regions} distinct regions -> {args.out}")
 
 
 def _cmd_sample(args):

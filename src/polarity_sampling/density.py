@@ -9,6 +9,7 @@ Monte-Carlo histogram here is the independent oracle the samplers are
 validated against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +173,7 @@ def analytic_density(atlas, x, rho):
     """
     if not atlas.complete:
         raise StateError("atlas is incomplete; rebuild at higher resolution")
-    if not np.isfinite(rho):
+    if not math.isfinite(rho):   # numpy takes no int past 64 bits
         raise InputError("rho must be finite")
     x = np.asarray(x, dtype=np.float64)
     xs = x[None, :] if x.ndim == 1 else x
@@ -180,17 +181,22 @@ def analytic_density(atlas, x, rho):
         raise InputError(
             f"query shape {x.shape} does not match output dim {atlas.net.output_dim}"
         )
+    with np.errstate(over="ignore"):
+        weights = np.exp((rho - 1.0) * atlas.log_pseudo_dets())
+        c = normalization_constant(atlas, rho)
+    if not (np.all(np.isfinite(weights)) and 0.0 < c < math.inf):
+        raise InputError(f"rho={rho}: a density weight or its normalizer leaves the "
+                         f"float range")
     tol = 1e-8 * (1.0 + np.linalg.norm(xs, axis=1))
     total = np.zeros(xs.shape[0])
-    for region in atlas.regions:
+    for region, w in zip(atlas.regions, weights):
         A, b = region.slope, region.offset
         z_star = (xs - b) @ region.pinv.T
         ok = atlas.domain.contains(z_star)
         ok &= np.linalg.norm(z_star @ A.T + b - xs, axis=1) <= tol
         ok[ok] = np.all(cpa.region_codes(atlas.net, z_star[ok]) == region.code, axis=1)
-        w = np.exp((rho - 1.0) * region.log_pdet)
         total += np.where(ok, w, 0.0)
-    total /= normalization_constant(atlas, rho)
+    total /= c
     return float(total[0]) if x.ndim == 1 else total
 
 

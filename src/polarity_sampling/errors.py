@@ -40,7 +40,10 @@ def finite_array(value, what, error):
         array = np.asarray(value)
     except ValueError as exc:
         raise error(f"{what} is not an array of numbers ({exc})") from exc
-    if array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)):
+    # numpy reads a bool among numbers as a number, so each entry is looked at
+    entries = () if isinstance(value, np.ndarray) else np.asarray(value, dtype=object).flat
+    if (array.dtype.kind not in "iuf" or not np.all(np.isfinite(array))
+            or any(isinstance(entry, (bool, np.bool_)) for entry in entries)):
         raise error(f"{what} must hold finite numbers")
     return array.astype(np.float64)
 

@@ -21,12 +21,11 @@ from .errors import (
 from .spectral import batch_top_k_singular_values
 
 DEFAULT_EPS = 1e-12
-POOL_FORMAT_VERSION = 2
+POOL_FORMAT_VERSION = 3
 # pool file fields: header JSON types, then base64 columns with their dtypes
 _POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
-                "eps": float, "seed": int, "code_bytes": int,
-                "z": str, "log_volumes": str, "codes": str}
-_POOL_COLUMNS = {"z": "<f8", "log_volumes": "<f8", "codes": "u1"}
+                "seed": int, "regions": int, "z": str, "log_volumes": str}
+_POOL_COLUMNS = {"z": "<f8", "log_volumes": "<f8"}
 
 
 # --- latent domains ----------------------------------------------------------
@@ -52,8 +51,10 @@ class LatentDomain:
         if self.kind == "uniform_box":
             lo = np.asarray(self.lo, dtype=np.float64).reshape(-1)
             hi = np.asarray(self.hi, dtype=np.float64).reshape(-1)
-            if lo.size != hi.size or np.any(lo >= hi):
-                raise InputError("uniform_box needs lo < hi per dimension")
+            with np.errstate(over="ignore"):   # a width past the float range is inf
+                if lo.size != hi.size or not np.all((lo < hi) & np.isfinite(hi - lo)):
+                    raise InputError("uniform_box needs lo < hi and a finite hi - lo "
+                                     "per dimension")
             if self.psi is not None:
                 raise InputError("truncation is defined for gaussian domains only")
             object.__setattr__(self, "lo", lo)
@@ -145,39 +146,37 @@ class LatentDomain:
 class SamplePool:
     """N candidate latents with precomputed region log-volumes, as columns.
 
-    ``codes`` holds each latent's activation code packed with
-    ``np.packbits(bits, axis=1)``: one row of ceil(num_units / 8) bytes.
+    ``regions`` counts the distinct activation codes among the latents
+    (a coverage diagnostic); the codes themselves are not kept.
     """
 
     z: np.ndarray              # (n, K) float64
     log_volumes: np.ndarray    # (n,) float64
-    codes: np.ndarray          # (n, code bytes) uint8
     k: int
-    eps: float
     seed: int
+    regions: int
     domain: LatentDomain
     net_fingerprint: str
+    eps = DEFAULT_EPS          # added to each singular value before its log
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
         lvs = np.asarray(self.log_volumes, dtype=np.float64)
-        codes = np.asarray(self.codes, dtype=np.uint8)
         n = lvs.shape[0] if lvs.ndim == 1 else -1
-        if z.shape != (n, self.domain.dim) or codes.ndim != 2 or codes.shape[0] != n:
+        if z.shape != (n, self.domain.dim):
             raise ValidationError(
                 f"pool columns disagree: z {z.shape}, log_volumes {lvs.shape}, "
-                f"codes {codes.shape}, latent dim {self.domain.dim}"
+                f"latent dim {self.domain.dim}"
             )
         if n == 0:
             raise ValidationError("pool is empty: it holds no latents")
         if not np.all(np.isfinite(lvs)):
             raise ValidationError("pool log-volumes must be finite")
-        if self.seed < 0 or self.k < 1 or not 0.0 < self.eps < np.inf:
-            raise ValidationError(f"pool needs seed >= 0, k >= 1 and a finite eps > 0, "
-                                  f"got seed={self.seed}, k={self.k}, eps={self.eps}")
+        if self.seed < 0 or self.k < 1 or not 1 <= self.regions <= n:
+            raise ValidationError(f"pool needs seed >= 0, k >= 1 and 1 <= regions <= n, got "
+                                  f"seed={self.seed}, k={self.k}, regions={self.regions}")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "log_volumes", lvs)
-        object.__setattr__(self, "codes", codes)
 
     @property
     def n(self):
@@ -186,14 +185,6 @@ class SamplePool:
     @property
     def latents(self):
         return self.z
-
-    def distinct_code_count(self):
-        """How many distinct regions the pool has discovered (coverage diagnostic)."""
-        width = self.codes.shape[1]
-        if width == 0:   # a net without nonlinear units has one region
-            return 1
-        rows = np.ascontiguousarray(self.codes).view(f"V{width}")[:, 0]
-        return len(set(rows.tolist()))
 
     def save(self, path):
         """One JSON document: header fields, then each column as base64 of
@@ -204,9 +195,8 @@ class SamplePool:
             "domain": self.domain.to_dict(),
             "n": self.n,
             "k": int(self.k),
-            "eps": float(self.eps),
             "seed": int(self.seed),
-            "code_bytes": self.codes.shape[1],
+            "regions": int(self.regions),
         }
         for name, dtype in _POOL_COLUMNS.items():
             raw = np.ascontiguousarray(getattr(self, name), dtype=dtype).tobytes()
@@ -232,9 +222,7 @@ class SamplePool:
             domain = LatentDomain.from_dict(doc["domain"])
         except ConfigError as exc:
             raise ValidationError(f"{path}: bad pool domain: {exc}") from exc
-        n = doc["n"]
-        shapes = {"z": (n, domain.dim), "log_volumes": (n,),
-                  "codes": (n, doc["code_bytes"])}
+        shapes = {"z": (doc["n"], domain.dim), "log_volumes": (doc["n"],)}
         columns = {}
         for name, dtype in _POOL_COLUMNS.items():
             try:
@@ -252,8 +240,8 @@ class SamplePool:
             return SamplePool(
                 **columns,
                 k=doc["k"],
-                eps=doc["eps"],
                 seed=doc["seed"],
+                regions=doc["regions"],
                 domain=domain,
                 net_fingerprint=doc["net_fingerprint"],
             )
@@ -269,7 +257,7 @@ class SamplePool:
             )
 
 
-def region_log_volumes(net, zs, k, eps):
+def region_log_volumes(net, zs, k):
     """Per-latent log-volumes of the top-k spectra, plus the (n, num_units)
     activation bits, in row blocks whose slopes fit in ``cpa.BLOCK_BYTES``,
     scored on every CPU by ``cpa.map_blocks``."""
@@ -280,7 +268,7 @@ def region_log_volumes(net, zs, k, eps):
 
     def score(rows):
         A, _, bits[rows] = cpa.affine_maps(net, zs[rows])
-        lvs[rows] = np.log(batch_top_k_singular_values(A, k) + eps).sum(axis=1)
+        lvs[rows] = np.log(batch_top_k_singular_values(A, k) + DEFAULT_EPS).sum(axis=1)
 
     cpa.map_blocks(score, zs.shape[0], 8 * net.input_dim * widest)
     return lvs, bits
@@ -301,6 +289,7 @@ def build_pool(net, domain, n, k, seed, feature_net=None):
     # a row of z, its score and its bits
     n = read_field(n, int, "n", InputError, 1, 8 * (eff.input_dim + 1) + eff.num_units)
     k = read_field(k, int, "k", InputError)
+    seed = read_field(seed, int, "seed", InputError, 0)
     # every slope factors through each layer, so its rank is at most the
     # narrowest width; singular values past it are exact zeros
     widths = [eff.input_dim] + [layer.out_dim for layer in eff.layers]
@@ -314,14 +303,16 @@ def build_pool(net, domain, n, k, seed, feature_net=None):
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     z = domain.sample(n, rng)
-    lvs, bits = region_log_volumes(eff, z, k, DEFAULT_EPS)
+    lvs, bits = region_log_volumes(eff, z, k)
+    # distinct packed code rows; a net without nonlinear units has one region
+    codes = np.packbits(bits, axis=1)
+    regions = len(set(codes.view(f"V{codes.shape[1]}")[:, 0].tolist())) if bits.size else 1
     return SamplePool(
         z=z,
         log_volumes=lvs,
-        codes=np.packbits(bits, axis=1),
         k=k,
-        eps=DEFAULT_EPS,
         seed=seed,
+        regions=regions,
         domain=domain,
         net_fingerprint=cpa.fingerprint(net),
     )

@@ -404,7 +404,7 @@ def test_feature_model_flag_scores_the_composed_net(workdir):
                  "--feature-model", str(workdir / "feat.json"), "--out", str(pool)]) == 0
     loaded = SamplePool.load(pool)
     expected, _ = region_log_volumes(compose(zoo.bimodal_generator(), feat), loaded.z,
-                                     loaded.k, loaded.eps)
+                                     loaded.k)
     assert np.array_equal(loaded.log_volumes, expected)
 
 
@@ -450,8 +450,11 @@ V1_POOL = {"version": 1, "net_fingerprint": "x", "n": 1, "k": 1, "eps": 1e-12,
 MALFORMED_POOLS = {
     "not_an_object": lambda doc: [doc],
     "v1_file": lambda doc: V1_POOL,
+    # a version 2 file: codes and eps in place of regions
+    "v2_file": lambda doc: {**_drop("regions")(doc), "version": 2, "eps": 1e-12,
+                            "code_bytes": 1, "codes": _b64(np.zeros(doc["n"], np.uint8))},
     "missing_k": _drop("k"),
-    "missing_column": _drop("codes"),
+    "missing_column": _drop("log_volumes"),
     "n_is_string": _set("n", "2000"),
     "k_is_float": _set("k", 1.5),
     "seed_is_bool": _set("seed", True),
@@ -464,17 +467,16 @@ MALFORMED_POOLS = {
     "negative_n": _set("n", -1),
     "latent_dim_disagrees": _set(
         "domain", {"kind": "gaussian", "mean": [0.0, 0.0], "std": [1.0, 1.0]}),
-    "code_width_disagrees": _set("code_bytes", lambda doc: doc["code_bytes"] + 1),
     "truncated_column": _set("log_volumes", lambda doc: doc["log_volumes"][:-8]),
     "nan_log_volume": _set("log_volumes", lambda doc: _b64(
         [np.nan] + [0.0] * (doc["n"] - 1))),
     "inf_log_volume": _set("log_volumes", lambda doc: _b64(
         [0.0] * (doc["n"] - 1) + [-np.inf])),
-    "empty_pool": lambda doc: {**doc, "n": 0, "z": "", "log_volumes": "", "codes": ""},
+    "empty_pool": lambda doc: {**doc, "n": 0, "z": "", "log_volumes": ""},
     "negative_seed": _set("seed", -5),
     "k_zero": _set("k", 0),
-    "eps_negative": _set("eps", -1.0),
-    "eps_nan": _set("eps", float("nan")),
+    "regions_zero": _set("regions", 0),
+    "regions_above_n": _set("regions", lambda doc: doc["n"] + 1),
 }
 
 
@@ -492,7 +494,7 @@ def test_malformed_pool_exits_2(case, workdir, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    if case == "v1_file":
+    if case in ("v1_file", "v2_file"):
         assert "rebuild it with `polsamp pool build`" in err
     if case == "empty_pool":
         assert f"{pool}: pool is empty" in err
@@ -530,6 +532,10 @@ MALFORMED_INPUTS = {
         domain={"kind": "gaussian", "mean": [0.0], "std": [1.0], "psi": "0.5"}), "'psi'"),
     "domain_lo_above_hi": (*_config_edit(
         domain={"kind": "uniform_box", "lo": [1.0], "hi": [0.0]}), "lo < hi"),
+    "domain_width_overflows": (*_config_edit(
+        domain={"kind": "uniform_box", "lo": [-1e308], "hi": [1e308]}), "finite hi - lo"),
+    "domain_bool_among_numbers": (*_config_edit(
+        domain={"kind": "gaussian", "mean": [0.0, True], "std": [1.0, 1.0]}), "'mean'"),
     "domain_std_zero": (*_config_edit(
         domain={"kind": "gaussian", "mean": [0.0], "std": [0.0]}), "std > 0"),
     "domain_psi_above_one": (*_config_edit(
@@ -580,6 +586,8 @@ MALFORMED_INPUTS = {
                                               "alpha": "abc"}), "alpha"),
     "weight_nan": (*_model_edit(layer={"weight": [[float("nan")], [-1.0]]}), "weight"),
     "bias_infinity": (*_model_edit(layer={"bias": [float("inf"), 0.0]}), "bias"),
+    "weight_bool_among_numbers": (*_model_edit(layer={"weight": [[True], [0.5]]}),
+                                  "weight"),
     "weight_scalar": (*_model_edit(layer={"weight": 1.0}), "weight"),
     "weight_vector": (*_model_edit(layer={"weight": [1.0, -1.0]}), "weight"),
     "points_short_second_row": ("points", "1.0,2.0\n3.0\n", None),
@@ -698,6 +706,14 @@ BAD_ARGUMENTS = {
                         "--out {dir}/d.csv", "rho must be finite"),
     "density_rho_inf": ("density eval --config {box_cfg} --rho inf --points {points} "
                         "--out {dir}/d.csv", "rho must be finite"),
+    # two_piece's region weights 2**(1 - rho) and 2**(rho - 1) overflow
+    "density_rho_overflows": ("density eval --config {box_cfg} --rho 2000 "
+                              "--points {points} --out {dir}/d.csv", "rho=2000.0: a density weight"),
+    "density_rho_overflows_negative": ("density eval --config {box_cfg} --rho=-2000 "
+                                       "--points {points} --out {dir}/d.csv",
+                                       "rho=-2000.0: a density weight"),
+    "density_rho_1e300": ("density eval --config {box_cfg} --rho 1e300 "
+                          "--points {points} --out {dir}/d.csv", "rho=1e+300: a density weight"),
     "sample_rho_nan": ("sample --pool {pool} --model {model} --rho nan --s 10 "
                        "--out {dir}/x.csv", "rho must be finite"),
     "sample_rho_inf": ("sample --pool {pool} --model {model} --rho inf --s 10 "

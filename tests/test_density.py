@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -126,6 +127,13 @@ def test_analytic_density_batch_closed_form(two_piece_atlas, xs):
     assert got.shape == (x.size,)
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
     assert [analytic_density(two_piece_atlas, [v], 0.0) for v in xs] == got.tolist()
+
+
+# two_piece's region weights are 2**(1 - rho) and 2**(rho - 1)
+@pytest.mark.parametrize("rho", [2000.0, -2000.0, 1e300, 2**70])
+def test_analytic_density_refuses_a_rho_that_overflows(two_piece_atlas, rho):
+    with pytest.raises(InputError, match=re.escape(f"rho={rho}: a density weight")):
+        analytic_density(two_piece_atlas, np.array([[-1.0], [0.25]]), rho)
 
 
 @pytest.mark.parametrize("x", [np.zeros((3, 2)), np.zeros(2), np.zeros((2, 1, 1)),

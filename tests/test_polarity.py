@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -17,9 +18,8 @@ from polarity_sampling import cpa, polarity, zoo
 def pool_from_log_volumes(lvs):
     n = len(lvs)
     return SamplePool(
-        z=np.arange(n, dtype=np.float64)[:, None], log_volumes=lvs,
-        codes=np.zeros((n, 1), dtype=np.uint8), k=1, eps=1e-12,
-        seed=0, domain=LatentDomain("uniform_box", lo=[-1.0], hi=[1.0]),
+        z=np.arange(n, dtype=np.float64)[:, None], log_volumes=lvs, k=1,
+        seed=0, regions=1, domain=LatentDomain("uniform_box", lo=[-1.0], hi=[1.0]),
         net_fingerprint="test",
     )
 
@@ -29,7 +29,7 @@ def test_linear_net_single_region_pool():
     net = CpaNetwork("lin", (Layer(rng.standard_normal((3, 2)), np.zeros(3)),))
     pool = build_pool(net, LatentDomain("uniform_box", lo=[-1, -1], hi=[1, 1]),
                       200, 1, seed=0)
-    assert pool.distinct_code_count() <= 1
+    assert pool.regions == 1
     assert np.ptp(pool.log_volumes) < 1e-10
 
 
@@ -66,9 +66,9 @@ def test_feature_net_pool_scores_the_composed_net():
     net, feat = zoo.two_piece_net(), _feature_net(3.0)
     pool = build_pool(net, zoo.two_piece_domain(), 300, 1, seed=4, feature_net=feat)
     assert pool.net_fingerprint == cpa.fingerprint(net)
-    lvs, bits = region_log_volumes(cpa.compose(net, feat), pool.z, 1, pool.eps)
+    lvs, bits = region_log_volumes(cpa.compose(net, feat), pool.z, 1)
     assert np.array_equal(pool.log_volumes, lvs)
-    assert np.array_equal(pool.codes, np.packbits(bits, axis=1))
+    assert pool.regions == len(np.unique(bits, axis=0))
     output = build_pool(net, zoo.two_piece_domain(), 300, 1, seed=4)
     assert np.array_equal(output.z, pool.z)
     assert not np.array_equal(output.log_volumes, pool.log_volumes)
@@ -212,8 +212,9 @@ def test_pool_columns_do_not_depend_on_block_budget(net_seed, n, kind, data):
         for workers in (1, 2):
             with mock.patch.object(cpa, "BLOCK_BYTES", budget), _workers(workers):
                 got = build_pool(net, domain, n, k, seed=7)
-            for column in ("z", "log_volumes", "codes"):
+            for column in ("z", "log_volumes"):
                 assert getattr(got, column).tobytes() == getattr(expected, column).tobytes()
+            assert got.regions == expected.regions
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -223,7 +224,7 @@ def test_non_finite_latent_in_the_last_block_raises_input_error(workers):
     z[-1, 1] = np.nan
     with mock.patch.object(cpa, "BLOCK_BYTES", 1), _workers(workers):
         with pytest.raises(InputError, match="latent input contains non-finite entries"):
-            region_log_volumes(net, z, 2, 1e-12)
+            region_log_volumes(net, z, 2)
 
 
 def _two_piece_pool(n=100):
@@ -239,6 +240,10 @@ def test_build_pool_refuses_a_non_integer_size():
 def test_build_pool_refuses_a_non_integer_k():
     with pytest.raises(InputError, match="k must be an integer, got 2.5"):
         build_pool(zoo.two_piece_net(), zoo.two_piece_domain(), 10, 2.5, seed=5)
+    with pytest.raises(InputError, match="seed must be an integer, got 1.5"):
+        build_pool(zoo.two_piece_net(), zoo.two_piece_domain(), 10, 1, seed=1.5)
+    with pytest.raises(InputError, match="seed must be at least 0, got -1"):
+        build_pool(zoo.two_piece_net(), zoo.two_piece_domain(), 10, 1, seed=-1)
 
 
 def test_sample_batch_refuses_a_non_integer_count():
@@ -311,7 +316,7 @@ def test_pool_round_trip_and_fingerprint(tmp_path):
     loaded = SamplePool.load(path)
     assert np.array_equal(loaded.latents, pool.latents)
     assert np.array_equal(loaded.log_volumes, pool.log_volumes)
-    assert np.array_equal(loaded.codes, pool.codes)
+    assert loaded.regions == pool.regions == 2
     again = tmp_path / "again.json"
     build_pool(net, zoo.two_piece_domain(), 200, 1, seed=11).save(again)
     assert again.read_bytes() == path.read_bytes()
@@ -322,7 +327,17 @@ def test_pool_round_trip_and_fingerprint(tmp_path):
 
 def test_distinct_code_count_diagnostic():
     pool = build_pool(zoo.two_piece_net(), zoo.two_piece_domain(), 500, 1, seed=12)
-    assert pool.distinct_code_count() == 2
+    assert pool.regions == 2
+
+
+def test_pool_file_holds_only_what_sampling_reads(tmp_path):
+    _, pool = _two_piece_pool()
+    pool.save(tmp_path / "pool.json")
+    doc = json.loads((tmp_path / "pool.json").read_text())
+    assert list(doc) == ["version", "net_fingerprint", "domain", "n", "k", "seed",
+                         "regions", "z", "log_volumes"]
+    assert doc["version"] == polarity.POOL_FORMAT_VERSION == 3
+    assert SamplePool.eps == pool.eps == polarity.DEFAULT_EPS
 
 
 def test_distinct_code_count_matches_digest_reference():
@@ -331,9 +346,7 @@ def test_distinct_code_count_matches_digest_reference():
     domain = LatentDomain("uniform_box", lo=-np.ones(3), hi=np.ones(3))
     pool = build_pool(net, domain, 20000, 3, seed=5)
     rows = {row.tobytes() for row in region_codes(net, pool.latents)}
-    assert pool.distinct_code_count() == len(rows) > 1000
-    bits = np.unpackbits(pool.codes, axis=1, count=net.num_units).astype(bool)
-    np.testing.assert_array_equal(bits, region_codes(net, pool.latents))
+    assert pool.regions == len(rows) > 1000
 
 
 @settings(max_examples=200, deadline=None)
@@ -341,25 +354,23 @@ def test_distinct_code_count_matches_digest_reference():
 def test_distinct_code_count_matches_unique_rows(n, width, alphabet, seed):
     # a small alphabet repeats rows; width 0 is a net without nonlinear units
     codes = np.random.default_rng(seed).integers(0, alphabet, (n, width)).astype(np.uint8)
-    pool = SamplePool(
-        z=np.zeros((n, 1)), log_volumes=np.zeros(n), codes=codes, k=1, eps=1e-12,
-        seed=0, domain=LatentDomain("uniform_box", lo=[-1.0], hi=[1.0]),
-        net_fingerprint="test",
-    )
-    assert pool.distinct_code_count() == len(np.unique(codes, axis=0))
+    scored = (np.zeros(n), np.unpackbits(codes, axis=1).astype(bool))
+    with mock.patch.object(polarity, "region_log_volumes", return_value=scored):
+        pool = build_pool(identity_net(1), LatentDomain("uniform_box", lo=[-1.0], hi=[1.0]),
+                          n, 1, seed=0)
+    assert pool.regions == len(np.unique(codes, axis=0))
 
 
 def test_identity_net_pool_has_one_region():
     pool = build_pool(identity_net(2), LatentDomain("uniform_box", lo=[-1, -1], hi=[1, 1]),
                       50, 2, seed=1)
-    assert pool.codes.shape == (50, 0)
-    assert pool.distinct_code_count() == 1
+    assert pool.regions == 1
 
 
 def test_gaussian_domain_pool():
     net = zoo.bimodal_generator()
     pool = build_pool(net, zoo.bimodal_domain(), 1000, 1, seed=13)
-    assert pool.distinct_code_count() == 2
+    assert pool.regions == 2
     w = polarity_weights(pool, -20.0)
     # essentially all weight on the slope-0.1 region (z < 0)
     assert pool.latents[np.argmax(w), 0] < 0

@@ -45,19 +45,17 @@ def test_k_out_of_range():
 
 
 def test_log_volume_ones_is_zero():
-    lv, _ = region_log_volumes(identity_net(3), np.zeros((4, 3)), 3, eps=1e-12)
+    lv, _ = region_log_volumes(identity_net(3), np.zeros((4, 3)), 3)
     assert np.all(np.abs(lv) < 4e-12)
 
 
 def test_log_volume_exp_values():
-    lv, _ = region_log_volumes(linear_net(np.e * np.eye(2)), np.zeros((1, 2)), 2,
-                               eps=1e-12)
+    lv, _ = region_log_volumes(linear_net(np.e * np.eye(2)), np.zeros((1, 2)), 2)
     assert abs(lv[0] - 2.0) < 1e-9
 
 
 def test_log_volume_product():
-    lv, _ = region_log_volumes(linear_net(np.diag([2.0, 8.0])), np.ones((1, 2)), 2,
-                               eps=1e-12)
+    lv, _ = region_log_volumes(linear_net(np.diag([2.0, 8.0])), np.ones((1, 2)), 2)
     np.testing.assert_allclose(np.exp(lv[0]), 16.0, rtol=1e-9)
 
 

@@ -119,7 +119,14 @@ def _read_points(path):
 
 
 def _write_points(path, pts):
-    harness.write_csv(path, [f"x{d}" for d in range(pts.shape[1])], pts.tolist())
+    """The bytes of ``harness.write_csv(path, header, pts.tolist())``, with
+    each distinct row formatted once: polarity draws repeat pool rows.  Rows
+    are told apart by their bytes, so -0.0 and 0.0 stay distinct."""
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    keys = pts.view(np.dtype((np.void, pts.strides[0]))).reshape(-1)
+    _, first, order = np.unique(keys, return_index=True, return_inverse=True)
+    harness.write_csv(path, [f"x{d}" for d in range(pts.shape[1])],
+                      pts[first].tolist(), order.tolist())
 
 
 def _cmd_pool_build(args):

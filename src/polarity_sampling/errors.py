@@ -95,19 +95,31 @@ def read_field(value, kind, what, error, least=None, row_bytes=None):
     return checked
 
 
-def read_json(path, error):
-    """The parsed JSON document at ``path``, or ``error`` if the file cannot be
-    read (missing, a directory, no permission, not UTF-8) or parsed (a parse
-    error names its line and column; an integer of over 4300 digits does not
-    parse)."""
+def read_bytes(path, error):
+    """The bytes of the file at ``path``, or ``error`` if it cannot be read
+    (missing, a directory, no permission)."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def parse_json(data, path, error):
+    """The JSON document in ``data``, bytes read from ``path``, or ``error`` if
+    they do not parse (not UTF-8; a parse error names its line and column; an
+    integer of over 4300 digits does not parse)."""
+    try:
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise error(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:   # not UTF-8, or an integer too long
         raise error(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path, error):
+    """The parsed JSON document at ``path``, or ``error`` if the file cannot be
+    read or parsed."""
+    return parse_json(read_bytes(path, error), path, error)

@@ -113,14 +113,16 @@ class ExperimentConfig:
         return SyntheticDataset.from_dict(spec).sample()
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, rows, order=None):
     """CSV of rows of Python floats and ints, as ``tolist()`` gives them, with
     ``csv.writer``'s bytes: fields by ``repr`` (which round-trips a float, and
-    is ``str`` for an int) and "\r\n" line ends.  Identical runs give
-    identical bytes."""
+    is ``str`` for an int) and "\r\n" line ends.  Given ``order``, a list of
+    indices into ``rows``, line i holds ``rows[order[i]]``, so a row that
+    recurs is formatted once.  Identical runs give identical bytes."""
+    lines = [",".join(map(repr, row)) + "\r\n" for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        fh.writelines(lines if order is None else map(lines.__getitem__, order))
 
 
 def _load(config):

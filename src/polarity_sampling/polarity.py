@@ -7,7 +7,6 @@ rho < 0 concentrates on the output-density modes (small Jacobian volume),
 rho > 0 on the anti-modes, rho = 0 reproduces the prior.
 """
 
-import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,16 +15,16 @@ import numpy as np
 
 from . import cpa
 from .errors import (
-    ConfigError, InputError, ValidationError, finite_array, read_field, read_json,
+    ConfigError, InputError, ValidationError, finite_array, parse_json, read_bytes,
+    read_field,
 )
 from .spectral import batch_top_k_singular_values
 
 DEFAULT_EPS = 1e-12
-POOL_FORMAT_VERSION = 3
-# pool file fields: header JSON types, then base64 columns with their dtypes
+POOL_FORMAT_VERSION = 4
+# pool header fields and their JSON types
 _POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
-                "seed": int, "regions": int, "z": str, "log_volumes": str}
-_POOL_COLUMNS = {"z": "<f8", "log_volumes": "<f8"}
+                "seed": int, "regions": int}
 
 
 # --- latent domains ----------------------------------------------------------
@@ -70,6 +69,8 @@ class LatentDomain:
             object.__setattr__(self, "std", std)
         else:
             raise InputError(f"unknown domain kind {self.kind!r}")
+        if self.dim == 0:
+            raise InputError(f"{self.kind} needs at least one dimension")
 
     @property
     def dim(self):
@@ -79,7 +80,12 @@ class LatentDomain:
     def volume(self):
         if self.kind != "uniform_box":
             raise InputError("volume is defined for box domains only")
-        return float(np.prod(self.hi - self.lo))
+        with np.errstate(over="ignore"):
+            volume = float(np.prod(self.hi - self.lo))
+        if not math.isfinite(volume):
+            raise InputError(f"the volume of the uniform_box lo={self.lo.tolist()}, "
+                             f"hi={self.hi.tolist()} leaves the float range")
+        return volume
 
     def contains(self, z):
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
@@ -170,6 +176,8 @@ class SamplePool:
             )
         if n == 0:
             raise ValidationError("pool is empty: it holds no latents")
+        if not np.all(np.isfinite(z)):
+            raise ValidationError("pool latents must be finite")
         if not np.all(np.isfinite(lvs)):
             raise ValidationError("pool log-volumes must be finite")
         if self.seed < 0 or self.k < 1 or not 1 <= self.regions <= n:
@@ -187,9 +195,10 @@ class SamplePool:
         return self.z
 
     def save(self, path):
-        """One JSON document: header fields, then each column as base64 of
-        its little-endian bytes.  Identical pools give identical bytes."""
-        doc = {
+        """One JSON header line, then the little-endian float64 bytes of
+        ``z`` (n·K, row by row) and of ``log_volumes`` (n).  Identical pools
+        give identical bytes."""
+        header = {
             "version": POOL_FORMAT_VERSION,
             "net_fingerprint": self.net_fingerprint,
             "domain": self.domain.to_dict(),
@@ -198,16 +207,17 @@ class SamplePool:
             "seed": int(self.seed),
             "regions": int(self.regions),
         }
-        for name, dtype in _POOL_COLUMNS.items():
-            raw = np.ascontiguousarray(getattr(self, name), dtype=dtype).tobytes()
-            doc[name] = base64.b64encode(raw).decode("ascii")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode("ascii") + b"\n")
+            for column in (self.z, self.log_volumes):
+                fh.write(np.ascontiguousarray(column, dtype="<f8").tobytes())
 
     @staticmethod
     def load(path):
-        doc = read_json(path, ValidationError)
+        # a JSON header never holds a raw newline; files of versions 1-3 are
+        # one JSON document on one line
+        header, _, payload = read_bytes(path, ValidationError).partition(b"\n")
+        doc = parse_json(header, path, ValidationError)
         version = doc.get("version") if isinstance(doc, dict) else None
         if version != POOL_FORMAT_VERSION:
             raise ValidationError(
@@ -222,23 +232,18 @@ class SamplePool:
             domain = LatentDomain.from_dict(doc["domain"])
         except ConfigError as exc:
             raise ValidationError(f"{path}: bad pool domain: {exc}") from exc
-        shapes = {"z": (doc["n"], domain.dim), "log_volumes": (doc["n"],)}
-        columns = {}
-        for name, dtype in _POOL_COLUMNS.items():
-            try:
-                raw = base64.b64decode(doc[name], validate=True)
-            except ValueError as exc:
-                raise ValidationError(f"{path}: column {name!r}: {exc}") from exc
-            shape = shapes[name]
-            if min(shape) < 0 or len(raw) != np.dtype(dtype).itemsize * math.prod(shape):
-                raise ValidationError(
-                    f"{path}: column {name!r} holds {len(raw)} bytes, "
-                    f"not the {shape} {np.dtype(dtype).name} array the header gives"
-                )
-            columns[name] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        n, dim = doc["n"], domain.dim
+        if len(payload) != 8 * n * (dim + 1):
+            raise ValidationError(
+                f"{path}: pool columns hold {len(payload)} bytes, not the "
+                f"8 * n * (K + 1) = {8 * n * (dim + 1)} of n={n} latents of dim "
+                f"K={dim} and their log-volumes"
+            )
+        columns = np.frombuffer(payload, dtype="<f8")
         try:
             return SamplePool(
-                **columns,
+                z=columns[:n * dim].reshape(n, dim),
+                log_volumes=columns[n * dim:],
                 k=doc["k"],
                 seed=doc["seed"],
                 regions=doc["regions"],

@@ -1,19 +1,23 @@
 import base64
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polarity_sampling
 from polarity_sampling import (
     CpaNetwork, ExperimentConfig, Layer, SamplePool, compose, region_log_volumes,
     save_model, write_csv, zoo,
 )
-from polarity_sampling.cli import main
+from polarity_sampling.cli import _write_points, main
 from polarity_sampling.errors import ValidationError
 from polarity_sampling.synth import SyntheticDataset
 
@@ -433,13 +437,29 @@ def _b64(array):
     return base64.b64encode(np.asarray(array).tobytes()).decode("ascii")
 
 
+def _columns(z, lvs):
+    return np.asarray(z, "<f8").tobytes() + np.asarray(lvs, "<f8").tobytes()
+
+
+def _file(doc, z, lvs):
+    """A format-4 pool file: one JSON header line, then the raw columns."""
+    return json.dumps(doc).encode() + b"\n" + _columns(z, lvs)
+
+
 def _set(key, value):
-    """Pool document with one field replaced; ``value`` may be a function of it."""
-    return lambda doc: {**doc, key: value(doc) if callable(value) else value}
+    """Pool file with one header field replaced; ``value`` may be a function of
+    the header."""
+    return lambda doc, z, lvs: _file(
+        {**doc, key: value(doc) if callable(value) else value}, z, lvs)
 
 
 def _drop(key):
-    return lambda doc: {k: v for k, v in doc.items() if k != key}
+    return lambda doc, z, lvs: _file({k: v for k, v in doc.items() if k != key}, z, lvs)
+
+
+def _payload(edit):
+    """Pool file whose column bytes are ``edit(bytes)``."""
+    return lambda doc, z, lvs: _file(doc, [], []) + edit(_columns(z, lvs))
 
 
 V1_POOL = {"version": 1, "net_fingerprint": "x", "n": 1, "k": 1, "eps": 1e-12,
@@ -447,32 +467,41 @@ V1_POOL = {"version": 1, "net_fingerprint": "x", "n": 1, "k": 1, "eps": 1e-12,
            "domain": {"kind": "gaussian", "mean": [0.0], "std": [1.0]},
            "records": [{"z": [0.1], "code_hash": "ab", "log_volume": 0.3}]}
 
+# each case maps the built pool's (header, z, log_volumes) to the file's bytes
 MALFORMED_POOLS = {
-    "not_an_object": lambda doc: [doc],
-    "v1_file": lambda doc: V1_POOL,
+    "not_an_object": lambda doc, z, lvs: _file([doc], z, lvs),
+    "v1_file": lambda doc, z, lvs: json.dumps(V1_POOL).encode() + b"\n",
     # a version 2 file: codes and eps in place of regions
-    "v2_file": lambda doc: {**_drop("regions")(doc), "version": 2, "eps": 1e-12,
-                            "code_bytes": 1, "codes": _b64(np.zeros(doc["n"], np.uint8))},
+    "v2_file": lambda doc, z, lvs: json.dumps({
+        **{k: v for k, v in doc.items() if k != "regions"}, "version": 2,
+        "eps": 1e-12, "z": _b64(z), "log_volumes": _b64(lvs), "code_bytes": 1,
+        "codes": _b64(np.zeros(doc["n"], np.uint8))}).encode() + b"\n",
+    # a version 3 file: one JSON document with base64 columns
+    "v3_file": lambda doc, z, lvs: json.dumps({
+        **doc, "version": 3, "z": _b64(z), "log_volumes": _b64(lvs)}).encode() + b"\n",
     "missing_k": _drop("k"),
-    "missing_column": _drop("log_volumes"),
+    "missing_column": lambda doc, z, lvs: _file(doc, z, []),
     "n_is_string": _set("n", "2000"),
     "k_is_float": _set("k", 1.5),
     "seed_is_bool": _set("seed", True),
-    "column_is_list": _set("z", [0.5]),
     "domain_unknown_kind": _set("domain", {"kind": "ring"}),
     "domain_missing_std": _set("domain", {"kind": "gaussian", "mean": [0.0]}),
-    "bad_base64": _set("z", "not base64!"),
-    "non_ascii_base64": _set("log_volumes", "\u00e9\u00e9\u00e9\u00e9"),
     "n_disagrees": _set("n", lambda doc: doc["n"] + 1),
     "negative_n": _set("n", -1),
+    "domain_has_no_dimension": _set("domain", {"kind": "uniform_box", "lo": [], "hi": []}),
     "latent_dim_disagrees": _set(
         "domain", {"kind": "gaussian", "mean": [0.0, 0.0], "std": [1.0, 1.0]}),
-    "truncated_column": _set("log_volumes", lambda doc: doc["log_volumes"][:-8]),
-    "nan_log_volume": _set("log_volumes", lambda doc: _b64(
-        [np.nan] + [0.0] * (doc["n"] - 1))),
-    "inf_log_volume": _set("log_volumes", lambda doc: _b64(
-        [0.0] * (doc["n"] - 1) + [-np.inf])),
-    "empty_pool": lambda doc: {**doc, "n": 0, "z": "", "log_volumes": ""},
+    "truncated_column": _payload(lambda raw: raw[:-8]),
+    "column_cut_inside_a_value": _payload(lambda raw: raw[:-3]),
+    "extra_column_bytes": _payload(lambda raw: raw + bytes(8)),
+    "header_not_json": lambda doc, z, lvs: b"{not json\n" + _columns(z, lvs),
+    "header_not_utf8": lambda doc, z, lvs: b"\xff" + _file(doc, z, lvs),
+    "no_newline": lambda doc, z, lvs: _file(doc, z, lvs).replace(b"\n", b"", 1),
+    "empty_file": lambda doc, z, lvs: b"",
+    "nan_latent": lambda doc, z, lvs: _file(doc, np.concatenate([z[:-1], [[np.nan]]]), lvs),
+    "nan_log_volume": lambda doc, z, lvs: _file(doc, z, [np.nan] + [0.0] * (doc["n"] - 1)),
+    "inf_log_volume": lambda doc, z, lvs: _file(doc, z, [0.0] * (doc["n"] - 1) + [-np.inf]),
+    "empty_pool": lambda doc, z, lvs: _file({**doc, "n": 0}, [], []),
     "negative_seed": _set("seed", -5),
     "k_zero": _set("k", 0),
     "regions_zero": _set("regions", 0),
@@ -480,11 +509,37 @@ MALFORMED_POOLS = {
 }
 
 
+# text the error names, for the cases that must fail for one reason
+MALFORMED_POOL_TEXT = {
+    **dict.fromkeys(("v1_file", "v2_file", "v3_file"), "rebuild it with `polsamp pool build`"),
+    **dict.fromkeys(("missing_column", "truncated_column", "column_cut_inside_a_value",
+                     "extra_column_bytes", "n_disagrees", "latent_dim_disagrees"),
+                    "pool columns hold"),
+    "header_not_json": "invalid JSON",
+    "header_not_utf8": "utf-8",
+    "empty_file": "invalid JSON",
+    "empty_pool": "pool is empty",
+    "domain_has_no_dimension": "needs at least one dimension",
+    "nan_latent": "pool latents must be finite",
+    "nan_log_volume": "pool log-volumes must be finite",
+    "inf_log_volume": "pool log-volumes must be finite",
+}
+
+
+def _pool_parts(path):
+    """A pool file's header, z and log-volumes, read without ``SamplePool``."""
+    header, _, payload = path.read_bytes().partition(b"\n")
+    doc = json.loads(header)
+    columns = np.frombuffer(payload, "<f8")
+    n, dim = doc["n"], len(doc["domain"]["mean"])
+    return doc, columns[:n * dim].reshape(n, dim), columns[n * dim:]
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_POOLS))
 def test_malformed_pool_exits_2(case, workdir, capsys):
     pool = workdir / "pool.json"
     main(["pool", "build", "--config", str(workdir / "cfg.json"), "--out", str(pool)])
-    pool.write_text(json.dumps(MALFORMED_POOLS[case](json.loads(pool.read_text()))))
+    pool.write_bytes(MALFORMED_POOLS[case](*_pool_parts(pool)))
     with pytest.raises(ValidationError):
         SamplePool.load(pool)
     capsys.readouterr()
@@ -494,10 +549,112 @@ def test_malformed_pool_exits_2(case, workdir, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    if case in ("v1_file", "v2_file"):
-        assert "rebuild it with `polsamp pool build`" in err
-    if case == "empty_pool":
-        assert f"{pool}: pool is empty" in err
+    assert str(pool) in err
+    assert MALFORMED_POOL_TEXT.get(case, "") in err
+
+
+@pytest.fixture(scope="module")
+def small_pool(tmp_path_factory):
+    """A 50-latent bimodal pool file's bytes, in a directory with its model."""
+    d = tmp_path_factory.mktemp("small_pool")
+    model, cfg, pool = d / "bimodal.json", d / "cfg.json", d / "pool.json"
+    save_model(zoo.bimodal_generator(), model)
+    ExperimentConfig(model_path=str(model), domain=zoo.bimodal_domain().to_dict(),
+                     seed=7, rho_grid=[0.0], n=50, k=1).to_json(cfg)
+    assert main(["pool", "build", "--config", str(cfg), "--out", str(pool)]) == 0
+    return d, pool.read_bytes()
+
+
+def _quiet_main(argv):
+    """``main(argv)`` with every warning an error: (exit code, stderr)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+# a truncated or one-byte-damaged pool file: sample either draws finite rows
+# or exits 2 with an error line, never a traceback or a warning
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_damaged_pool_file_exits_0_or_2(small_pool, data):
+    d, good = small_pool
+    header_end = good.index(b"\n")
+    # a byte of the header, any byte, or the sign and exponent byte of a value
+    top_bytes = st.integers(0, (len(good) - header_end - 1) // 8 - 1).map(
+        lambda v: header_end + 8 + 8 * v)
+    at = data.draw(st.integers(0, header_end) | st.integers(0, len(good) - 1) | top_bytes,
+                   label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = good[:at]
+    else:
+        # 0x40 on a top byte turns a value of magnitude 1 to 2 into inf or nan,
+        # 0x80 flips its sign
+        damaged = bytearray(good)
+        damaged[at] ^= data.draw(st.sampled_from([0x40, 0x80]) | st.integers(1, 255),
+                                 label="mask")
+    pool, out = d / "damaged.json", d / "draws.csv"
+    pool.write_bytes(bytes(damaged))
+    out.unlink(missing_ok=True)
+    rc, err = _quiet_main(["sample", "--pool", str(pool), "--model", str(d / "bimodal.json"),
+                           "--rho", "0.0", "--s", "200", "--out", str(out)])
+    if rc == 0:
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
+    else:
+        assert rc == 2 and err.startswith("error: "), err
+
+
+def _assert_written_like_write_csv(pts, d):
+    header = [f"x{i}" for i in range(pts.shape[1])]
+    _write_points(d / "points.csv", pts)
+    write_csv(d / "reference.csv", header, pts.tolist())
+    assert (d / "points.csv").read_bytes() == (d / "reference.csv").read_bytes()
+
+
+def test_write_points_keeps_signed_zeros_apart(tmp_path):
+    pts = np.array([[0.0, 1.0], [-0.0, 1.0], [5e-324, -1e300], [0.0, 1.0], [-0.0, 1.0]])
+    _assert_written_like_write_csv(pts, tmp_path)
+    lines = (tmp_path / "points.csv").read_bytes().split(b"\r\n")
+    assert lines[1:3] == [b"0.0,1.0", b"-0.0,1.0"]
+
+
+EXTREME = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                           1e300, -1e300, 1.0]) | st.floats(allow_nan=False,
+                                                            allow_infinity=False)
+
+
+# repeated rows, both zeros in one column, subnormals and +-1e300, one row,
+# dims 1-8
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_write_points_equals_write_csv(tmp_path_factory, dim, data):
+    distinct = data.draw(st.lists(st.lists(EXTREME, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=6), label="distinct")
+    # each row's twin with its zeros' signs flipped: a distinct row wherever it holds a zero
+    distinct += [[-v if v == 0.0 else v for v in row] for row in distinct]
+    order = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
+                               max_size=40), label="order")
+    _assert_written_like_write_csv(np.array(distinct, dtype=np.float64)[order],
+                                   tmp_path_factory.getbasetemp())
+
+
+def test_box_whose_volume_overflows(tmp_path):
+    # each width 2e200 is finite, their product is not: density eval needs the
+    # box volume and names the box; pool build does not need it
+    model, cfg, pts = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "pts.csv"
+    save_model(zoo.ramp_2d_net(), model)
+    ExperimentConfig(model_path=str(model), seed=1, rho_grid=[0.0], n=200, k=2,
+                     domain={"kind": "uniform_box", "lo": [-1e200, -1e200],
+                             "hi": [1e200, 1e200]}).to_json(cfg)
+    pts.write_text("x0,x1\n0.5,0.5\n")
+    rc, err = _quiet_main(["density", "eval", "--config", str(cfg), "--rho", "0",
+                           "--points", str(pts), "--out", str(tmp_path / "d.csv")])
+    assert rc == 2 and err.startswith("error: ") and "uniform_box" in err, err
+    assert "lo=[-1e+200, -1e+200], hi=[1e+200, 1e+200]" in err and "rho" not in err
+    assert _quiet_main(["pool", "build", "--config", str(cfg),
+                        "--out", str(tmp_path / "p.json")]) == (0, "")
 
 
 def _config_edit(**fields):

@@ -13,6 +13,7 @@ from polarity_sampling import (
     region_codes, region_log_volumes, sample_batch,
 )
 from polarity_sampling import cpa, polarity, zoo
+from polarity_sampling.errors import ValidationError
 
 
 def pool_from_log_volumes(lvs):
@@ -333,11 +334,33 @@ def test_distinct_code_count_diagnostic():
 def test_pool_file_holds_only_what_sampling_reads(tmp_path):
     _, pool = _two_piece_pool()
     pool.save(tmp_path / "pool.json")
-    doc = json.loads((tmp_path / "pool.json").read_text())
+    header, newline, payload = (tmp_path / "pool.json").read_bytes().partition(b"\n")
+    doc = json.loads(header)
     assert list(doc) == ["version", "net_fingerprint", "domain", "n", "k", "seed",
-                         "regions", "z", "log_volumes"]
-    assert doc["version"] == polarity.POOL_FORMAT_VERSION == 3
+                         "regions"]
+    assert doc["version"] == polarity.POOL_FORMAT_VERSION == 4
+    # the raw little-endian columns, z row by row, then the log-volumes
+    assert newline and len(payload) == 8 * pool.n * (pool.domain.dim + 1)
+    assert payload == (pool.z.astype("<f8").tobytes()
+                       + pool.log_volumes.astype("<f8").tobytes())
     assert SamplePool.eps == pool.eps == polarity.DEFAULT_EPS
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pool_refuses_a_non_finite_latent(bad):
+    z = np.zeros((3, 1))
+    z[1, 0] = bad
+    with pytest.raises(ValidationError, match="pool latents must be finite"):
+        SamplePool(z=z, log_volumes=np.zeros(3), k=1, seed=0, regions=1,
+                   domain=zoo.two_piece_domain(), net_fingerprint="test")
+
+
+def test_box_volume_that_overflows_names_the_box():
+    # each width is finite, the product of the two is not
+    box = LatentDomain("uniform_box", lo=[-1e200, -1e200], hi=[1e200, 1e200])
+    with pytest.raises(InputError, match=r"uniform_box lo=\[-1e\+200, -1e\+200\]"):
+        box.volume
+    assert LatentDomain("uniform_box", lo=[-1e100] * 3, hi=[1e100] * 3).volume == 8e300
 
 
 def test_distinct_code_count_matches_digest_reference():

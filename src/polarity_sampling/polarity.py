@@ -1,8 +1,10 @@
 """Polarity sampling: reweight a generator's latent prior by Jacobian volume.
 
 Pool construction draws N latents, records each one's region log-volume
-(sum of log top-k singular values of the local slope matrix), and the
-sampler then resamples those latents under softmax(rho * log-volume):
+(sum of log(sigma_i + eps) over the top-k singular values of the local
+slope matrix; at k = K, sum of log(|R_ii| + eps) over the slope's QR
+diagonal, within 1e-7 of it, with rows near rank deficiency scored by SVD),
+and the sampler then resamples those latents under softmax(rho * log-volume):
 rho < 0 concentrates on the output-density modes (small Jacobian volume),
 rho > 0 on the anti-modes, rho = 0 reproduces the prior.
 """
@@ -22,6 +24,9 @@ from .spectral import batch_top_k_singular_values
 
 DEFAULT_EPS = 1e-12
 POOL_FORMAT_VERSION = 4
+# a k = K slope whose smallest |R_ii| is at most this times max(max |R_ii|, 1)
+# is scored by SVD, not by its QR diagonal
+_QR_FLAG = 1e-4
 # pool header fields and their JSON types
 _POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
                 "seed": int, "regions": int}
@@ -260,12 +265,24 @@ class SamplePool:
                 f"pool was built for model {self.net_fingerprint[:12]}..., "
                 f"supplied model hashes to {fp[:12]}..."
             )
+        # a hand-made file may pair the fingerprint with latents of another dim
+        if self.domain.dim != net.input_dim:
+            raise ConfigError(f"pool latents have dim {self.domain.dim}, the model's "
+                              f"input_dim is {net.input_dim}")
 
 
 def region_log_volumes(net, zs, k):
-    """Per-latent log-volumes of the top-k spectra, plus the (n, num_units)
-    activation bits, in row blocks whose slopes fit in ``cpa.BLOCK_BYTES``,
-    scored on every CPU by ``cpa.map_blocks``."""
+    """Per-latent log-volumes ``sum log(sigma_i + eps)`` of the top-k
+    spectra, plus the (n, num_units) activation bits, in row blocks whose
+    slopes fit in ``cpa.BLOCK_BYTES``, scored on every CPU by
+    ``cpa.map_blocks``.
+
+    At k = K the product of all singular values is ``|det R|`` of the
+    slope's QR, so a row is scored ``sum log(|R_ii| + eps)``, within 1e-7 of
+    the singular-value form, unless its smallest ``|R_ii|`` is at most
+    ``_QR_FLAG * max(max |R_ii|, 1)``: there the eps floor or a rank
+    deficiency may act, and the row is scored by SVD like every row at k < K.
+    """
     zs = np.atleast_2d(zs)
     widest = max([net.input_dim] + [layer.out_dim for layer in net.layers])
     lvs = np.empty(zs.shape[0])
@@ -273,7 +290,15 @@ def region_log_volumes(net, zs, k):
 
     def score(rows):
         A, _, bits[rows] = cpa.affine_maps(net, zs[rows])
-        lvs[rows] = np.log(batch_top_k_singular_values(A, k) + DEFAULT_EPS).sum(axis=1)
+        block = lvs[rows]   # a view: rows is a slice
+        svd_rows = slice(None)
+        if k == net.input_dim:
+            d = np.abs(np.diagonal(np.linalg.qr(A, mode="raw")[0], axis1=1, axis2=2))
+            block[:] = np.log(d + DEFAULT_EPS).sum(axis=1)
+            svd_rows = d.min(axis=1) <= _QR_FLAG * np.maximum(d.max(axis=1), 1.0)
+        # called on every block, also with no row: it checks k <= min(D, K)
+        sigma = batch_top_k_singular_values(A[svd_rows], k)
+        block[svd_rows] = np.log(sigma + DEFAULT_EPS).sum(axis=1)
 
     cpa.map_blocks(score, zs.shape[0], 8 * net.input_dim * widest)
     return lvs, bits

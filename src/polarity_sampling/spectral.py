@@ -1,7 +1,9 @@
 """Batched top-k singular values of per-region slope matrices.
 
 The per-candidate score of the batch sampler is the log-volume
-``sum_i log(sigma_i + eps)`` over these values.
+``sum_i log(sigma_i + eps)`` over these values.  At k = K,
+``polarity.region_log_volumes`` scores most slopes by their QR diagonal
+instead and calls this only on rows near rank deficiency.
 """
 
 import numpy as np

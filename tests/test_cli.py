@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import polarity_sampling
 from polarity_sampling import (
-    CpaNetwork, ExperimentConfig, Layer, SamplePool, compose, region_log_volumes,
-    save_model, write_csv, zoo,
+    CpaNetwork, ExperimentConfig, LatentDomain, Layer, SamplePool, compose, fingerprint,
+    region_log_volumes, save_model, write_csv, zoo,
 )
 from polarity_sampling.cli import _write_points, main
 from polarity_sampling.errors import ValidationError
@@ -977,6 +977,20 @@ def test_memory_error_exits_2(workdir, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and "Unable to allocate" in err
+
+
+def test_sample_refuses_pool_of_another_latent_dim(workdir, capsys):
+    # a hand-made format-4 file: the 1-D bimodal model's fingerprint, 2-D latents
+    pool = workdir / "pool.json"
+    SamplePool(z=np.zeros((3, 2)), log_volumes=np.zeros(3), k=1, seed=0, regions=1,
+               domain=LatentDomain("uniform_box", lo=[-1.0, -1.0], hi=[1.0, 1.0]),
+               net_fingerprint=fingerprint(zoo.bimodal_generator())).save(pool)
+    rc = main(["sample", "--pool", str(pool), "--model", str(workdir / "bimodal.json"),
+               "--rho", "0.0", "--s", "10", "--out", str(workdir / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and "dim 2" in err and "input_dim is 1" in err
+    assert not (workdir / "x.csv").exists()
 
 
 def _scipy_modules_after(code):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
@@ -226,6 +226,37 @@ def test_non_finite_latent_in_the_last_block_raises_input_error(workers):
     with mock.patch.object(cpa, "BLOCK_BYTES", 1), _workers(workers):
         with pytest.raises(InputError, match="latent input contains non-finite entries"):
             region_log_volumes(net, z, 2)
+
+
+# seeds 7, 43 and 46: every slope rank-deficient at 2,000 gaussian latents
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-3]))
+@example(7, 1.0)
+@example(43, 1.0)
+@example(46, 1e-3)
+def test_log_volumes_match_the_singular_value_oracle(seed, scale):
+    base = zoo.random_net(seed)
+    net = CpaNetwork(base.name, tuple(
+        Layer(layer.weight * scale, layer.bias * scale, layer.activation, alpha=layer.alpha)
+        for layer in base.layers))
+    K = net.input_dim
+    z = np.random.default_rng(seed).standard_normal((400, K))
+    A, _, _ = cpa.affine_maps(net, z)
+    sigma = np.linalg.svd(A, compute_uv=False)
+    d = np.abs(np.diagonal(np.linalg.qr(A, mode="raw")[0], axis1=1, axis2=2))
+    flagged = d.min(axis=1) <= polarity._QR_FLAG * np.maximum(d.max(axis=1), 1.0)
+    for k in {1, min([K] + [layer.out_dim for layer in net.layers])}:
+        oracle = np.log(sigma[:, :k] + polarity.DEFAULT_EPS).sum(axis=1)
+        lvs, _ = region_log_volumes(net, z, k)
+        assert np.abs(lvs - oracle).max() <= 1e-7
+        exact = flagged if k == K else np.ones(len(z), dtype=bool)
+        assert lvs[exact].tobytes() == oracle[exact].tobytes()
+
+
+def test_log_volumes_refuse_k_above_the_slope_rank():
+    # k = K = 2, but the halfspace net's slopes are 1 x 2: rank 1 at most
+    with pytest.raises(InputError):
+        region_log_volumes(zoo.halfspace_net(), np.ones((5, 2)), 2)
 
 
 def _two_piece_pool(n=100):

@@ -14,7 +14,7 @@ from .cpa import (
 )
 from .density import (
     Histogram, RegionAtlas, analytic_density, enumerate_regions, mc_density,
-    normalization_constant, pseudo_log_det_sqrt, total_variation,
+    normalization_constant, total_variation,
 )
 from .errors import (
     ConfigError, InputError, PolarityError, ScaleError, StateError,

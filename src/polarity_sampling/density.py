@@ -1,12 +1,11 @@
 """Analytic output-space densities for enumerable-region networks.
 
 For a uniform latent prior over a box, the output density of a CPA
-generator is a sum over regions of pseudo-determinant powers restricted to
-each region's image.  With the polarity exponent rho the per-region factor
-becomes det(A^T A)^((rho-1)/2).  At desk scale (K <= 3) the region atlas is
-built by grid probing, and the density evaluated exactly from it; the
-Monte-Carlo histogram here is the independent oracle the samplers are
-validated against.
+generator is a sum over regions of det(A^T A)^((rho-1)/2) restricted to each
+region's image.  That gives each region one pre-image, so it holds only when
+every slope A has full rank K; the oracle refuses any other atlas.  At desk
+scale (K <= 3) the atlas is built by grid probing; the Monte-Carlo histogram
+here is the independent oracle the samplers are validated against.
 """
 
 import math
@@ -17,21 +16,9 @@ import numpy as np
 from . import cpa
 from .errors import InputError, ScaleError, StateError, read_field
 
-# relative cutoff below which singular values count as zero in pseudo-determinants
+# a slope whose smallest singular value is at most this times its largest has rank < K
 RANK_RTOL = 1e-10
-
-
-def pseudo_log_det_sqrt(sigma):
-    """log of the product of nonzero singular values (pseudo-det to the 1/2).
-
-    Values below ``RANK_RTOL * sigma_max`` are treated as exact zeros and skipped.
-    Returns 0.0 for the all-zero matrix (empty product).
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.size == 0 or sigma.max() == 0.0:
-        return 0.0
-    keep = sigma > RANK_RTOL * sigma.max()
-    return float(np.sum(np.log(sigma[keep])))
+_OUT_OF_RANGE = "rho={}: a density weight or its normalizer leaves the float range"
 
 
 @dataclass(frozen=True)
@@ -40,9 +27,9 @@ class AtlasRegion:
     rep_z: np.ndarray          # a probe point inside the region
     slope: np.ndarray          # (D, K): the network is slope @ z + offset here
     offset: np.ndarray         # (D,)
-    log_pdet: float            # log det(slope^T slope)^(1/2), nonzero sigmas only
+    log_pdet: float            # log det(slope^T slope)^(1/2); -inf at rank < K
     prior_mass: float          # fraction of the latent box in this region
-    pinv: np.ndarray           # Moore-Penrose pseudo-inverse of the slope
+    pinv: np.ndarray           # pseudo-inverse: at rank K, the slope's inverse on its image
 
 
 @dataclass(frozen=True)
@@ -55,7 +42,7 @@ class RegionAtlas:
     complete: bool
 
     def log_pseudo_dets(self):
-        """Per-region log of det(A^T A)^(1/2) (product of nonzero sigmas)."""
+        """Per-region log of det(A^T A)^(1/2); -inf for a slope of rank < K."""
         return np.array([r.log_pdet for r in self.regions])
 
 
@@ -135,15 +122,17 @@ def enumerate_regions(net, domain, resolution=64, seed=0):
     for code, z, mass in zip(codes, rep_z, prior_mass):
         # one latent per call: a batched call moves offsets by round-off
         A, b, _ = cpa.affine_maps(net, z)
+        sigma = np.linalg.svd(A[0], compute_uv=False)
+        full_rank = sigma.size == net.input_dim and sigma[-1] > RANK_RTOL * sigma[0]
         regions.append(
             AtlasRegion(
                 code=code,
                 rep_z=z,
                 slope=A[0],
                 offset=b[0],
-                log_pdet=pseudo_log_det_sqrt(np.linalg.svd(A[0], compute_uv=False)),
+                log_pdet=float(np.sum(np.log(sigma))) if full_rank else -math.inf,
                 prior_mass=float(mass),
-                pinv=np.linalg.pinv(A[0], rcond=RANK_RTOL),
+                pinv=np.linalg.pinv(A[0]),
             )
         )
     return RegionAtlas(net=net, domain=domain, regions=tuple(regions), complete=complete)
@@ -155,11 +144,24 @@ def normalization_constant(atlas, rho):
     Each region contributes det^((rho-1)/2) times its image volume, and the
     image volume is det^(1/2) times the latent volume, so the constant is
     sum_w det_w^(rho/2) * vol(w)  -- computable straight from prior masses.
+    This is the oracle's one gate: an atlas with a region of rank < K, a
+    non-finite rho, or a constant outside the float range raises InputError.
     """
-    logdets = atlas.log_pseudo_dets()
+    for i, r in enumerate(atlas.regions):
+        if r.log_pdet == -math.inf:
+            rank = np.linalg.matrix_rank(r.slope, RANK_RTOL * np.linalg.norm(r.slope, 2))
+            bits = "".join(str(int(b)) for b in r.code)
+            raise InputError(f"atlas region {i} (code [{bits}]) has rank {rank} < "
+                             f"K={atlas.net.input_dim}: the exact density needs full rank")
+    if not math.isfinite(rho):   # numpy takes no int past 64 bits
+        raise InputError("rho must be finite")
     masses = np.array([r.prior_mass for r in atlas.regions])
     vol = atlas.domain.volume
-    return float(np.sum(np.exp(rho * logdets) * masses * vol))
+    with np.errstate(over="ignore"):
+        c = float(np.sum(np.exp(rho * atlas.log_pseudo_dets()) * masses * vol))
+    if not 0.0 < c < math.inf:
+        raise InputError(_OUT_OF_RANGE.format(rho))
+    return c
 
 
 def analytic_density(atlas, x, rho):
@@ -173,8 +175,7 @@ def analytic_density(atlas, x, rho):
     """
     if not atlas.complete:
         raise StateError("atlas is incomplete; rebuild at higher resolution")
-    if not math.isfinite(rho):   # numpy takes no int past 64 bits
-        raise InputError("rho must be finite")
+    c = normalization_constant(atlas, rho)
     x = np.asarray(x, dtype=np.float64)
     xs = x[None, :] if x.ndim == 1 else x
     if xs.ndim != 2 or xs.shape[1] != atlas.net.output_dim:
@@ -183,10 +184,8 @@ def analytic_density(atlas, x, rho):
         )
     with np.errstate(over="ignore"):
         weights = np.exp((rho - 1.0) * atlas.log_pseudo_dets())
-        c = normalization_constant(atlas, rho)
-    if not (np.all(np.isfinite(weights)) and 0.0 < c < math.inf):
-        raise InputError(f"rho={rho}: a density weight or its normalizer leaves the "
-                         f"float range")
+    if not np.all(np.isfinite(weights)):
+        raise InputError(_OUT_OF_RANGE.format(rho))
     tol = 1e-8 * (1.0 + np.linalg.norm(xs, axis=1))
     total = np.zeros(xs.shape[0])
     for region, w in zip(atlas.regions, weights):

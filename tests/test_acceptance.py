@@ -10,9 +10,9 @@ import pytest
 from scipy import stats
 
 from polarity_sampling import (
-    ExperimentConfig, PolaritySampler, SampleSet,
+    CpaNetwork, ExperimentConfig, LatentDomain, Layer, PolaritySampler, SampleSet,
     affine_maps, analytic_density, build_pool, enumerate_regions, forward,
-    frechet_distance, mc_density, path_length, precision_recall,
+    frechet_distance, mc_density, path_length, polarity_weights, precision_recall,
     region_codes, run_pareto, run_shift, sample_batch, save_model,
     total_variation, zoo,
 )
@@ -296,3 +296,44 @@ def test_criterion_13_polarity_frontier_beats_truncation(capsys, tmp_path):
     _report(capsys, "13 polarity at psi=1 beats every truncation point by >= 0.2 "
             "precision at <= 0.1 recall", not unbeaten,
             f"mean precision/recall {detail}; unbeaten psi {unbeaten}")
+
+
+def test_criterion_14_ess_calibrates_the_pool_law(capsys):
+    """A pool's per-region weight sums stand in for the atlas law
+    prior_mass * exp(rho * log_pdet); their mean TV over 10 pool seeds stays
+    within 1/2 sqrt((R - 1) / ESS), the multinomial bound with the median
+    Kish ESS 1 / sum w^2 in place of the draw count (a heuristic that holds
+    only while R << ESS)."""
+    # the bench's density_law net: seed 5, widths 4/4/2, all leaky, bias scale 0.3
+    rng = np.random.default_rng(5)
+    layers, d_in = [], 2
+    for width in (4, 4, 2):
+        layers.append(Layer(rng.standard_normal((width, d_in)) / np.sqrt(d_in),
+                            0.3 * rng.standard_normal(width), "leaky_relu", alpha=0.2))
+        d_in = width
+    net = CpaNetwork("density_law", tuple(layers))
+    box = LatentDomain("uniform_box", lo=[-1.0, -1.0], hi=[1.0, 1.0])
+    atlas = enumerate_regions(net, box, 64)
+    R = len(atlas.regions)
+    assert atlas.complete and R == 18
+    codes = np.array([r.code for r in atlas.regions])   # in np.unique row order
+    cells = []
+    for rho in (-8.0, -2.0, 2.0):
+        law = np.array([r.prior_mass for r in atlas.regions]) * np.exp(
+            rho * atlas.log_pseudo_dets())
+        law /= law.sum()
+        for n in (300, 3000):
+            tvs, ess = [], []
+            for seed in range(10):
+                pool = build_pool(net, box, n, 2, seed)
+                w = polarity_weights(pool, rho)
+                found, region = np.unique(np.concatenate([codes, region_codes(net, pool.z)]),
+                                          axis=0, return_inverse=True)
+                assert len(found) == R, "a pool latent fell in a region outside the atlas"
+                tvs.append(total_variation(np.bincount(region[R:], w, R), law))
+                ess.append(1.0 / np.sum(w ** 2))
+            cells.append((rho, n, np.mean(tvs), 0.5 * np.sqrt((R - 1) / np.median(ess))))
+    detail = "; ".join(f"rho={rho} n={n}: TV {tv:.3f} <= {bound:.3f}"
+                       for rho, n, tv, bound in cells)
+    _report(capsys, "14 pool-law TV within 1/2 sqrt((R-1)/ESS) over rho in {-8, -2, 2}, "
+            "n in {300, 3000}", all(tv <= bound for _, _, tv, bound in cells), detail)

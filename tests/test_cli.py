@@ -657,6 +657,36 @@ def test_box_whose_volume_overflows(tmp_path):
                         "--out", str(tmp_path / "p.json")]) == (0, "")
 
 
+
+# (net, the region the refusal names): halfspace's off side has slope 0; a
+# leaky unit over K=2 has rank 1 on both sides, as any net with D < K does
+RANK_DEFICIENT = {
+    "halfspace": (zoo.halfspace_net, "region 0 (code [0]) has rank 0 < K=2"),
+    "leaky_d_below_k": (
+        lambda: CpaNetwork("leaky", (Layer(np.array([[1.0, -0.5]]), np.zeros(1),
+                                           "leaky_relu", alpha=0.2),)),
+        "region 0 (code [0]) has rank 1 < K=2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
+def test_density_eval_refuses_a_region_below_full_rank(name, tmp_path):
+    make_net, names = RANK_DEFICIENT[name]
+    model, cfg, pts = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "pts.csv"
+    save_model(make_net(), model)
+    ExperimentConfig(model_path=str(model), seed=1, rho_grid=[0.0], resolution=64,
+                     domain={"kind": "uniform_box", "lo": [-1.0, -1.0],
+                             "hi": [1.0, 1.0]}).to_json(cfg)
+    pts.write_text("x0\n0.5\n")
+    # the rank refusal comes first, so no rho, finite or not, gets a warning out
+    for rho in ("-inf", "-1", "0", "0.5", "1", "2", "inf", "nan"):
+        rc, err = _quiet_main(["density", "eval", "--config", str(cfg), f"--rho={rho}",
+                               "--points", str(pts), "--out", str(tmp_path / "d.csv")])
+        assert rc == 2 and err.startswith("error: ") and names in err, err
+        assert err.count("\n") == 1, err
+    assert not (tmp_path / "d.csv").exists()
+
+
 def _config_edit(**fields):
     return "config", lambda doc: {**doc, **fields}
 

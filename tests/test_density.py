@@ -1,14 +1,15 @@
+import math
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polarity_sampling import (
     CpaNetwork, InputError, LatentDomain, Layer, PolaritySampler, ScaleError,
     StateError, analytic_density, build_pool, enumerate_regions, forward, identity_net,
-    mc_density, normalization_constant, region_codes, sample_batch,
+    mc_density, normalization_constant, region_codes, region_log_volumes, sample_batch,
     total_variation,
 )
 from polarity_sampling import cpa, zoo
@@ -130,10 +131,15 @@ def test_analytic_density_batch_closed_form(two_piece_atlas, xs):
 
 
 # two_piece's region weights are 2**(1 - rho) and 2**(rho - 1)
-@pytest.mark.parametrize("rho", [2000.0, -2000.0, 1e300, 2**70])
+@pytest.mark.parametrize("rho", [2000.0, -2000.0, 1e300, 2**70, float("nan")])
 def test_analytic_density_refuses_a_rho_that_overflows(two_piece_atlas, rho):
-    with pytest.raises(InputError, match=re.escape(f"rho={rho}: a density weight")):
+    message = (f"rho={rho}: a density weight" if math.isfinite(rho)
+               else "rho must be finite")
+    with pytest.raises(InputError, match=re.escape(message)):
         analytic_density(two_piece_atlas, np.array([[-1.0], [0.25]]), rho)
+    # the normalizer refuses the same rho, with the same message
+    with pytest.raises(InputError, match=re.escape(message)):
+        normalization_constant(two_piece_atlas, rho)
 
 
 @pytest.mark.parametrize("x", [np.zeros((3, 2)), np.zeros(2), np.zeros((2, 1, 1)),
@@ -178,6 +184,37 @@ def test_normalization_non_injective(rho):
     mass = _quadrature_mass(atlas, rho, [0.0], [1.0], [2000])
     assert abs(mass - 1.0) <= 1e-3
     assert analytic_density(atlas, [0.5], 0.0) == pytest.approx(1.0)
+
+
+def _full_rank_net(K, depth, seed):
+    """D = K leaky net whose every region slope has rank K: each weight is an
+    orthogonal matrix times a diagonal in [0.5, 2], and each leaky slope > 0."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for i in range(depth + 1):
+        weight = np.linalg.qr(rng.standard_normal((K, K)))[0] * rng.uniform(0.5, 2.0, K)
+        layers.append(Layer(weight, 0.3 * rng.standard_normal(K), "leaky_relu",
+                            alpha=rng.uniform(0.2, 0.5)) if i < depth
+                      else Layer(weight, np.zeros(K)))
+    return CpaNetwork("full_rank", tuple(layers))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_quadrature_totals_one_on_full_rank_nets(K, depth, seed):
+    net = _full_rank_net(K, depth, seed)
+    atlas = enumerate_regions(net, LatentDomain("uniform_box", lo=[-1.0] * K,
+                                                hi=[1.0] * K), 64)
+    assume(atlas.complete)   # a sliver region below the grid's cell: rare
+    assert np.all(np.isfinite(atlas.log_pseudo_dets()))
+    # a box padded around the image of a latent grid
+    grid = np.meshgrid(*[np.linspace(-1.0, 1.0, 65)] * K)
+    img = forward(net, np.stack([m.reshape(-1) for m in grid], axis=1))
+    pad = 0.05 * (img.max(axis=0) - img.min(axis=0)) + 0.01
+    lo, hi = img.min(axis=0) - pad, img.max(axis=0) + pad
+    for rho in (-1.0, 0.0, 1.0):
+        mass = _quadrature_mass(atlas, rho, lo, hi, [4000] if K == 1 else [300, 300])
+        assert abs(mass - 1.0) <= 0.03, (rho, mass)
 
 
 def test_mc_density_flat_for_identity():
@@ -320,3 +357,8 @@ def test_region_log_pdet_matches_gram_determinant(make_net, make_domain):
         expected.append(0.5 * np.log(np.linalg.det(A.T @ A)))
         np.testing.assert_allclose(region.log_pdet, expected[-1], rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(atlas.log_pseudo_dets(), expected, rtol=1e-12, atol=1e-15)
+    # the pool scores a region by sum log(sigma_i + 1e-12), the atlas by sum
+    # log sigma_i: the eps stays on the pool side, within 1e-9 of the atlas
+    pool_side, _ = region_log_volumes(atlas.net, np.array([r.rep_z for r in atlas.regions]),
+                                      atlas.net.input_dim)
+    np.testing.assert_allclose(pool_side, atlas.log_pseudo_dets(), rtol=0, atol=1e-9)

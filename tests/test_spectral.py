@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from polarity_sampling import (
-    CpaNetwork, InputError, Layer, identity_net, pseudo_log_det_sqrt,
-    region_log_volumes,
+    CpaNetwork, InputError, Layer, identity_net, region_log_volumes,
 )
 from polarity_sampling.spectral import batch_top_k_singular_values
 
@@ -67,12 +66,6 @@ def test_full_spectrum_product_identity():
         sigma = np.linalg.svd(A, compute_uv=False)
         lhs = np.exp(2.0 * np.sum(np.log(sigma)))
         np.testing.assert_allclose(lhs, np.linalg.det(A.T @ A), rtol=1e-8)
-
-
-def test_pseudo_log_det_skips_zeros():
-    sigma = np.array([2.0, 1.0, 0.0])
-    np.testing.assert_allclose(pseudo_log_det_sqrt(sigma), np.log(2.0))
-    assert pseudo_log_det_sqrt(np.zeros(3)) == 0.0
 
 
 def test_orthogonal_invariance():

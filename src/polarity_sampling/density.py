@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cpa
-from .errors import InputError, ScaleError, StateError, read_field
+from .errors import InputError, ScaleError, StateError, is_finite, read_field
 
 # a slope whose smallest singular value is at most this times its largest has rank < K
 RANK_RTOL = 1e-10
@@ -56,6 +56,25 @@ def _grid_points(domain, resolution):
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
+def _unique_codes(bits):
+    """``np.unique(bits, axis=0, return_index=True, return_inverse=True,
+    return_counts=True)`` for a bool code array, sorted as integer keys.
+
+    Each row is packed big-endian into 8-byte words, so the words' numeric
+    order is the rows' lexicographic order, ``np.unique``'s row order; rows
+    of up to 64 bits are one key each.
+    """
+    packed = np.packbits(bits, axis=1)
+    words = np.zeros((bits.shape[0], max(1, -(-packed.shape[1] // 8))), dtype=np.uint64)
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
+    words = words.view(">u8").astype(np.uint64)
+    one = words.shape[1] == 1   # then a sort of numbers, not of records
+    _, first, inverse, counts = np.unique(words[:, 0] if one else words,
+                                          axis=None if one else 0, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    return bits[first], first, inverse, counts
+
+
 def enumerate_regions(net, domain, resolution=64, seed=0):
     """Probe a regular grid (plus jitter near code changes) to map the partition.
 
@@ -79,10 +98,7 @@ def enumerate_regions(net, domain, resolution=64, seed=0):
     coarse = _grid_points(domain, resolution)
     fine = _grid_points(domain, 2 * resolution)
     shape = (2 * resolution,) * domain.dim
-    fine_codes, first, labels, counts = np.unique(
-        cpa.region_codes(net, fine), axis=0, return_index=True,
-        return_inverse=True, return_counts=True,
-    )
+    fine_codes, first, labels, counts = _unique_codes(cpa.region_codes(net, fine))
     labels = labels.reshape(shape)
 
     # jittered probes inside fine cells whose axis-neighbor has a different code
@@ -108,12 +124,10 @@ def enumerate_regions(net, domain, resolution=64, seed=0):
     # fine-grid codes plus any only the probes found, in np.unique row order;
     # each code's first occurrence in [fine codes, probes] gives its
     # representative (first fine point in grid order, else first probe)
-    codes, source = np.unique(
-        np.concatenate([fine_codes, cpa.region_codes(net, probes)]), axis=0,
-        return_index=True,
-    )
+    codes, source, _, _ = _unique_codes(
+        np.concatenate([fine_codes, cpa.region_codes(net, probes)]))
     complete = len(codes) == len(fine_codes) and np.array_equal(
-        np.unique(cpa.region_codes(net, coarse), axis=0), fine_codes
+        _unique_codes(cpa.region_codes(net, coarse))[0], fine_codes
     )
     rep_z = np.concatenate([fine[first], probes])[source]
     prior_mass = np.concatenate([counts, np.zeros(len(probes), int)])[source] / len(fine)
@@ -153,7 +167,7 @@ def normalization_constant(atlas, rho):
             bits = "".join(str(int(b)) for b in r.code)
             raise InputError(f"atlas region {i} (code [{bits}]) has rank {rank} < "
                              f"K={atlas.net.input_dim}: the exact density needs full rank")
-    if not math.isfinite(rho):   # numpy takes no int past 64 bits
+    if not is_finite(rho):   # numpy takes no int past 64 bits
         raise InputError("rho must be finite")
     masses = np.array([r.prior_mass for r in atlas.regions])
     vol = atlas.domain.volume
@@ -208,16 +222,47 @@ class Histogram:
     mass: np.ndarray        # normalized to total draw count
 
 
+def _bin_index(x, edges, scale):
+    """``np.searchsorted(edges, x, "right")`` per point, with ``histogramdd``'s
+    rule that a point on the last edge counts in the last bin.
+
+    The index c is guessed arithmetically, ``floor((x - e[0]) * scale) + 1``
+    with ``scale = (m - 1) / (e[-1] - e[0])``, which evenly spaced edges miss
+    only by rounding next to an edge.  A guess is kept only where it
+    brackets x, ``e[c - 1] <= x < e[c]`` with the edges padded by -inf
+    before and inf after; every other point, NaN included, is binary-searched.
+    """
+    m = edges.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        guess = x - edges[0]
+        guess *= scale
+    guess += 1
+    np.floor(guess, out=guess)
+    np.fmax(guess, 0, out=guess)   # NaN goes to 0
+    np.fmin(guess, m, out=guess)
+    c = guess.astype(np.intp)
+    padded = np.concatenate([[-np.inf], edges, [np.inf]])
+    hit = padded[c] <= x
+    hit &= x < padded[1:][c]
+    miss = np.flatnonzero(~hit)
+    c[miss] = edges.searchsorted(x[miss], side="right")
+    c[x == edges[-1]] -= 1
+    return c
+
+
 def mc_density(net, draws, bins):
     """Normalized histogram of forward(net, z) over the supplied latents.
 
     ``draws`` is an (n, K) array of latents and ``bins`` a per-output-dimension
-    list of bin edge arrays.  Mass is normalized by the number of draws, so it
-    totals 1 when the bins cover the image.  Row blocks are forwarded and
-    binned on every CPU by ``cpa.map_blocks``; their integer counts add up
-    exactly, in block order.  Where OpenBLAS rounds a block's GEMM otherwise
-    than one call over all rows, a count can move only for an output within
-    an ulp of a bin edge.
+    list of bin edge arrays, each 1-D with at least two strictly increasing
+    entries.  Mass is normalized by the number of draws, so it totals 1 when
+    the bins cover the image.  The mass equals ``np.histogramdd``'s:
+    ``_bin_index`` bins each axis, and one ``bincount`` of the raveled cell
+    index, with an outlier bin on each side of each axis, counts a block.
+    Row blocks are forwarded and binned on every CPU by ``cpa.map_blocks``;
+    their integer counts add up exactly, in block order.  Where OpenBLAS
+    rounds a block's GEMM otherwise than one call over all rows, a count can
+    move only for an output within an ulp of a bin edge.
     """
     draws = np.asarray(draws, dtype=np.float64)
     if draws.ndim != 2 or draws.shape[1] != net.input_dim:
@@ -229,16 +274,29 @@ def mc_density(net, draws, bins):
     if len(edges) != net.output_dim:
         raise InputError(f"bins give {len(edges)} edge arrays for an output of "
                          f"dim {net.output_dim}")
-    for e in edges:
-        if np.any(np.diff(e) <= 0):
-            raise InputError("bin edges must be strictly increasing")
+    for d, e in enumerate(edges):
+        with np.errstate(invalid="ignore"):   # inf - inf is NaN, and refused
+            increasing = e.ndim == 1 and e.size >= 2 and np.all(np.diff(e) > 0)
+        if not increasing:
+            raise InputError(f"bin edges of output dim {d} must be a 1-D array of at "
+                             f"least 2 strictly increasing numbers")
+    with np.errstate(over="ignore"):
+        scales = [(e.size - 1) / (e[-1] - e[0]) for e in edges]
+    shape = tuple(e.size + 1 for e in edges)   # with an outlier bin on each side
+    cells = read_field(math.prod(shape), int, "bins: histogram cells", InputError,
+                       row_bytes=8)
 
     def count(rows):
-        return np.histogramdd(cpa.forward(net, draws[rows]), bins=edges)[0]
+        xs = cpa.forward(net, draws[rows])
+        cell = 0
+        for d, (e, scale) in enumerate(zip(edges, scales)):
+            cell = cell * shape[d] + _bin_index(xs[:, d], e, scale)
+        return np.bincount(cell, minlength=cells)
 
     widest = max([net.input_dim] + [layer.out_dim for layer in net.layers])
-    counts = sum(cpa.map_blocks(count, draws.shape[0], 8 * widest))
-    return Histogram(edges=tuple(edges), mass=counts / draws.shape[0])
+    counts = sum(cpa.map_blocks(count, draws.shape[0], 8 * widest)).reshape(shape)
+    core = counts[(slice(1, -1),) * len(edges)]
+    return Histogram(edges=tuple(edges), mass=core / draws.shape[0])
 
 
 def total_variation(mass_a, mass_b):

@@ -33,6 +33,14 @@ class ScaleError(PolarityError):
     """Problem size exceeds what the exact desk-scale oracles support."""
 
 
+def is_finite(number):
+    """``math.isfinite(number)``, False for an int past the float range."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def finite_array(value, what, error):
     """``value`` as a float64 array, or ``error`` naming ``what`` unless it
     holds only finite numbers (bools, strings and nulls are not numbers)."""

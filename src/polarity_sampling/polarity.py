@@ -17,8 +17,8 @@ import numpy as np
 
 from . import cpa
 from .errors import (
-    ConfigError, InputError, ValidationError, finite_array, parse_json, read_bytes,
-    read_field,
+    ConfigError, InputError, ValidationError, finite_array, is_finite, parse_json,
+    read_bytes, read_field,
 )
 from .spectral import batch_top_k_singular_values
 
@@ -350,15 +350,17 @@ def build_pool(net, domain, n, k, seed, feature_net=None):
 
 # --- samplers ----------------------------------------------------------------
 
-# per draw in a block of ``sample_batch``'s search: its rank, the sorted key
-# and the found index
+# per draw in a block of ``sample_batch``'s search: its uniform, its guide
+# bucket and the found index
 _SEARCH_ROW_BYTES = 3 * 8
+# guide-table steps a draw walks before it falls back to the binary search
+_GUIDE_STEPS = 2
 
 
 def polarity_weights(pool, rho):
     """Categorical weights softmax(rho * log_volumes), computed in log-space;
     an entry whose score overflows to -inf just gets weight 0."""
-    if not math.isfinite(rho):   # numpy takes no int past 64 bits
+    if not is_finite(rho):   # numpy takes no int past 64 bits
         raise InputError("rho must be finite")
     with np.errstate(over="ignore"):
         scores = rho * pool.log_volumes
@@ -390,24 +392,37 @@ def sample_batch(sampler, s, seed):
 
     For a given seed the draws are exactly ``pool.latents[idx]`` with
     ``idx = np.random.default_rng(seed).choice(n, size=s, p=weights)``: the
-    same CDF, inverted at the same uniforms, drawn in one call.  Each block
-    of uniforms is sorted before the binary search, so the searches walk
-    the CDF in order instead of missing cache, and ``cpa.map_blocks``
-    searches the blocks on every CPU; the index found for a key does not
-    depend on the order of the keys or on the block.
+    same CDF, inverted at the same uniforms, drawn in one call.  The
+    inversion looks each uniform up in a guide table (Chen & Asau's indexed
+    search) instead of binary-searching the whole CDF.  With B the power of
+    two at or above ``min(n, s)``, ``guide[b]`` counts the CDF entries at or
+    below ``b / B``; since B is a power of two, ``u * B``, its floor and
+    ``ceil(cdf * B)`` are exact, so ``guide[floor(u * B)]`` is never past the
+    index ``cdf.searchsorted(u, "right")`` wants.  Each draw walks up from
+    it at most ``_GUIDE_STEPS`` entries, and a draw still short of its
+    index is binary-searched as ``Generator.choice`` does.  ``cpa.map_blocks``
+    looks the blocks of uniforms up on every CPU; a draw's index does not
+    depend on its block.
     """
-    # a draw, its uniform and its index
-    s = read_field(s, int, "s", InputError, 1, 8 * (sampler.pool.domain.dim + 2))
+    # a draw, its uniform, its index and up to two guide entries
+    s = read_field(s, int, "s", InputError, 1, 8 * (sampler.pool.domain.dim + 4))
     rng = np.random.default_rng(seed)
     cdf = sampler.weights.cumsum()   # as Generator.choice builds it
     cdf /= cdf[-1]
     u = rng.random(s)
-    idx = np.empty(s, dtype=np.int64)
+    size = 1 << (min(cdf.size, s) - 1).bit_length()
+    guide = np.bincount(np.ceil(cdf * size).astype(np.intp),
+                        minlength=size + 1).cumsum()[:size]
+    idx = np.empty(s, dtype=np.intp)
 
     def search(rows):
         keys = u[rows]
-        order = np.argsort(keys)
-        idx[rows][order] = cdf.searchsorted(keys[order], side="right")   # idx[rows] is a view
+        found = guide[(keys * size).astype(np.intp)]
+        for _ in range(_GUIDE_STEPS):
+            found += cdf[found] <= keys
+        short = np.flatnonzero(cdf[found] <= keys)
+        found[short] = cdf.searchsorted(keys[short], side="right")
+        idx[rows] = found
 
     cpa.map_blocks(search, s, _SEARCH_ROW_BYTES)
     return np.take(sampler.pool.latents, idx, axis=0)

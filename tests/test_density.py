@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from polarity_sampling import (
     mc_density, normalization_constant, region_codes, region_log_volumes, sample_batch,
     total_variation,
 )
-from polarity_sampling import cpa, zoo
+from polarity_sampling import cpa, density, zoo
 from polarity_sampling.density import RegionAtlas
 
 
@@ -140,6 +141,16 @@ def test_analytic_density_refuses_a_rho_that_overflows(two_piece_atlas, rho):
     # the normalizer refuses the same rho, with the same message
     with pytest.raises(InputError, match=re.escape(message)):
         normalization_constant(two_piece_atlas, rho)
+
+
+@pytest.mark.parametrize("call", [
+    lambda atlas, rho: normalization_constant(atlas, rho),
+    lambda atlas, rho: analytic_density(atlas, [0.0], rho),
+], ids=["normalization_constant", "analytic_density"])
+@pytest.mark.parametrize("rho", [10**400, -10**400], ids=["10**400", "-10**400"])
+def test_oracle_refuses_an_int_rho_past_the_float_range(two_piece_atlas, call, rho):
+    with pytest.raises(InputError, match="rho must be finite"):
+        call(two_piece_atlas, rho)
 
 
 @pytest.mark.parametrize("x", [np.zeros((3, 2)), np.zeros(2), np.zeros((2, 1, 1)),
@@ -270,6 +281,18 @@ def test_mc_density_input_errors():
         mc_density(zoo.ramp_2d_net(), np.zeros((10, 2)), [edges])
     with pytest.raises(InputError, match="bins give 2 edge arrays"):
         mc_density(net, np.zeros((10, 1)), [edges, edges])
+    # each malformed edge array is refused, naming its output dim
+    ramp = zoo.ramp_2d_net()
+    for bad in ([], [0.0, math.nan, 1.0], [0.5], [[0.0, 1.0]], [0.0, math.inf, math.inf]):
+        with pytest.raises(InputError, match="bin edges of output dim 1 must be a 1-D"):
+            mc_density(ramp, np.zeros((10, 2)), [edges, bad])
+    # (2**16 + 1)**4 cells leave any array
+    wide = np.linspace(0.0, 1.0, 2**16)
+    with pytest.raises(InputError, match="histogram cells"):
+        mc_density(identity_net(4), np.zeros((10, 4)), [wide] * 4)
+    # infinite end edges are edges like any other
+    assert mc_density(net, np.zeros((10, 1)), [[-math.inf, 0.0, math.inf]]).mass.tolist() \
+        == [0.0, 1.0]
 
 
 def _workers(count):
@@ -362,3 +385,53 @@ def test_region_log_pdet_matches_gram_determinant(make_net, make_domain):
     pool_side, _ = region_log_volumes(atlas.net, np.array([r.rep_z for r in atlas.regions]),
                                       atlas.net.input_dim)
     np.testing.assert_allclose(pool_side, atlas.log_pseudo_dets(), rtol=0, atol=1e-9)
+
+
+def _edge_arrays(rng, kind, m):
+    if kind == "linspace":
+        lo = rng.uniform(-1e3, 1e3)
+        return np.linspace(lo, lo + rng.uniform(1e-6, 1e4), m)
+    if kind == "sorted":
+        e = np.unique(rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300, m))
+        return e if e.size >= 2 else np.array([-1.0, 1.0])
+    return np.concatenate([[-np.inf], np.linspace(-1.0, 1.0, m), [np.inf]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(1, 400), st.data())
+def test_binning_equals_histogramdd(dim, seed, n, data):
+    # the points are the outputs (forward is patched to pass latents through),
+    # so points on edges, next to them and off every scale reach the binning
+    rng = np.random.default_rng(seed)
+    bins = [_edge_arrays(rng, data.draw(st.sampled_from(["linspace", "sorted", "inf"])),
+                         data.draw(st.integers(2, 41))) for _ in range(dim)]
+    columns = []
+    for e in bins:
+        finite = e[np.isfinite(e)]
+        special = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                                  [np.nan, np.inf, -np.inf, 1e308, -1e308]])
+        inside = rng.uniform(finite[0], finite[-1], n) if finite.size else rng.normal(size=n)
+        columns.append(np.where(rng.random(n) < 0.5, rng.choice(special, n), inside))
+    points = np.stack(columns, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(cpa, "forward", lambda net, z: z):
+            mass = mc_density(identity_net(dim), points, bins).mass
+        expected = np.histogramdd(points, bins)[0] / n
+    assert mass.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65, 320])
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_keyed_unique_equals_unique_rows(width, seed):
+    rng = np.random.default_rng(seed)
+    # rows drawn from a few distinct rows, so they repeat
+    base = rng.random((rng.integers(1, 12), width)) < 0.5
+    if seed == 2 and width:   # distinct rows that differ in their last bit only
+        base[:, :-1] = base[0, :-1]
+    bits = base[rng.integers(0, base.shape[0], rng.integers(1, 500))]
+    got = density._unique_codes(bits)
+    expected = np.unique(bits, axis=0, return_index=True, return_inverse=True,
+                         return_counts=True)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)

@@ -86,6 +86,13 @@ def test_weights_take_an_int_past_64_bits():
     assert np.array_equal(polarity_weights(pool, 2**70), polarity_weights(pool, 2.0**70))
 
 
+@pytest.mark.parametrize("make", [polarity_weights, PolaritySampler])
+@pytest.mark.parametrize("rho", [10**400, -10**400], ids=["10**400", "-10**400"])
+def test_weights_refuse_an_int_rho_past_the_float_range(make, rho):
+    with pytest.raises(InputError, match="rho must be finite"):
+        make(pool_from_log_volumes([0.3, -2.0]), rho)
+
+
 def test_weights_hand_values():
     pool = pool_from_log_volumes([np.log(2), np.log(8)])
     np.testing.assert_allclose(polarity_weights(pool, 1.0), [0.2, 0.8], rtol=1e-12)
@@ -188,6 +195,36 @@ def test_sample_batch_equals_generator_choice(family, s, seed, data):
         with mock.patch.object(cpa, "BLOCK_BYTES", budget), _workers(workers):
             got = sample_batch(sampler, s, seed)
         assert got.tobytes() == sampler.pool.z[idx].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([-200.0, -8.0, -2.0, -0.5, 0.5, 2.0, 8.0, 200.0]),
+       st.sampled_from([cpa.BLOCK_BYTES, 1, 100]), st.sampled_from([1, 2]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_guide_table_draws_equal_generator_choice(rho, budget, workers, seed, data):
+    # one-row blocks cost a call each, so the small budgets take small pools
+    n = data.draw(st.integers(1, 50_000 if budget == cpa.BLOCK_BYTES else 300))
+    s = data.draw(st.sampled_from([1, 7, max(1, n // 3), 3 * n]))
+    sampler = PolaritySampler(pool_from_log_volumes(
+        np.random.default_rng(seed).normal(0.0, 3.0, n)), rho)
+    idx = np.random.default_rng(seed).choice(n, size=s, p=sampler.weights)
+    with mock.patch.object(cpa, "BLOCK_BYTES", budget), _workers(workers):
+        got = sample_batch(sampler, s, seed)
+    assert got.tobytes() == sampler.pool.z[idx].tobytes()
+
+
+def test_guide_table_falls_back_to_the_binary_search():
+    # 16 draws from 50k equal weights: 16 guide buckets of ~3k CDF entries,
+    # so most draws lie more than the walked steps past their bucket's start
+    n, s, seed = 50_000, 16, 3
+    sampler = PolaritySampler(pool_from_log_volumes(np.zeros(n)), 0.0)
+    idx = np.random.default_rng(seed).choice(n, size=s, p=sampler.weights)
+    cdf = sampler.weights.cumsum()
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(s)
+    start = cdf.searchsorted(np.floor(u * s) / s, side="right")
+    assert np.sum(idx - start > polarity._GUIDE_STEPS) >= s // 2
+    assert sample_batch(sampler, s, seed).tobytes() == sampler.pool.z[idx].tobytes()
 
 
 def _domains(dim):

@@ -26,8 +26,8 @@ from .metrics import (
     SampleSet, frechet_distance, nn_distances, path_length, precision_recall,
 )
 from .polarity import (
-    LatentDomain, PolaritySampler, SamplePool, build_pool, polarity_weights,
-    region_log_volumes, sample_batch,
+    LatentDomain, PolaritySampler, SamplePool, build_pool, draw_latents,
+    polarity_weights, region_log_volumes, sample_batch,
 )
 from .synth import SyntheticDataset
 

@@ -7,8 +7,13 @@ diagonal, within 1e-7 of it, with rows near rank deficiency scored by SVD),
 and the sampler then resamples those latents under softmax(rho * log-volume):
 rho < 0 concentrates on the output-density modes (small Jacobian volume),
 rho > 0 on the anti-modes, rho = 0 reproduces the prior.
+
+The latents of a pool are ``draw_latents(domain, n, seed)``, a function of
+the pool's header alone, so a pool file stores only the log-volumes and the
+sha256 of the latents; loading redraws them and checks the digest.
 """
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,13 +28,13 @@ from .errors import (
 from .spectral import batch_top_k_singular_values
 
 DEFAULT_EPS = 1e-12
-POOL_FORMAT_VERSION = 4
+POOL_FORMAT_VERSION = 5
 # a k = K slope whose smallest |R_ii| is at most this times max(max |R_ii|, 1)
 # is scored by SVD, not by its QR diagonal
 _QR_FLAG = 1e-4
 # pool header fields and their JSON types
 _POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
-                "seed": int, "regions": int}
+                "seed": int, "regions": int, "latents_sha256": str}
 
 
 # --- latent domains ----------------------------------------------------------
@@ -105,14 +110,19 @@ class LatentDomain:
         if self.kind == "uniform_box":
             return rng.uniform(self.lo, self.hi, size=(n, self.dim))
         if self.psi is None:
-            return self.mean + self.std * rng.standard_normal((n, self.dim))
-        # the psi-box factorizes per axis: invert each axis's normal CDF
-        # between the two box edges.  scipy loads here, on the first
-        # truncated draw, so the untruncated CLI runs never import it.
-        from scipy.special import ndtr, ndtri
+            z = rng.standard_normal((n, self.dim))
+        else:
+            # the psi-box factorizes per axis: invert each axis's normal CDF
+            # between the two box edges.  scipy loads here, on the first
+            # truncated draw, so the untruncated CLI runs never import it.
+            from scipy.special import ndtr, ndtri
 
-        u = rng.uniform(ndtr(-2.0 * self.psi), ndtr(2.0 * self.psi), size=(n, self.dim))
-        return self.mean + self.std * ndtri(u)
+            z = rng.uniform(ndtr(-2.0 * self.psi), ndtr(2.0 * self.psi), size=(n, self.dim))
+            ndtri(z, out=z)
+        # in place, the same bytes as mean + std * z
+        z *= self.std
+        z += self.mean
+        return z
 
     def truncate(self, psi):
         if self.kind != "gaussian":
@@ -153,12 +163,26 @@ class LatentDomain:
 # --- pools -------------------------------------------------------------------
 
 
+def draw_latents(domain, n, seed):
+    """The n latents of the pool with this domain and seed: i.i.d. prior draws
+    from the first child of ``SeedSequence(seed)``, a stream of their own, so
+    sampling from the pool never reuses it."""
+    return domain.sample(n, np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]))
+
+
+def _latents_sha256(z):
+    """The sha256 of the little-endian float64 bytes of ``z``, row by row."""
+    return hashlib.sha256(np.ascontiguousarray(z, dtype="<f8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class SamplePool:
     """N candidate latents with precomputed region log-volumes, as columns.
 
     ``regions`` counts the distinct activation codes among the latents
-    (a coverage diagnostic); the codes themselves are not kept.
+    (a coverage diagnostic); the codes themselves are not kept.  A pool file
+    keeps the log-volumes but not the latents: they are
+    ``draw_latents(domain, n, seed)``, redrawn on load.
     """
 
     z: np.ndarray              # (n, K) float64
@@ -201,8 +225,10 @@ class SamplePool:
 
     def save(self, path):
         """One JSON header line, then the little-endian float64 bytes of
-        ``z`` (n·K, row by row) and of ``log_volumes`` (n).  Identical pools
-        give identical bytes."""
+        ``log_volumes`` (n).  The header's ``latents_sha256`` is the digest of
+        ``z``; a pool whose ``z`` is not ``draw_latents(domain, n, seed)``
+        saves, but ``load`` refuses its file.  Identical pools give identical
+        bytes."""
         header = {
             "version": POOL_FORMAT_VERSION,
             "net_fingerprint": self.net_fingerprint,
@@ -211,14 +237,18 @@ class SamplePool:
             "k": int(self.k),
             "seed": int(self.seed),
             "regions": int(self.regions),
+            "latents_sha256": _latents_sha256(self.z),
         }
         with open(path, "wb") as fh:
             fh.write(json.dumps(header).encode("ascii") + b"\n")
-            for column in (self.z, self.log_volumes):
-                fh.write(np.ascontiguousarray(column, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(self.log_volumes, dtype="<f8").tobytes())
 
     @staticmethod
     def load(path):
+        """The pool saved at ``path``: the header is checked first, then the
+        latents are redrawn from its domain, n and seed and must match its
+        ``latents_sha256``.  A numpy, scipy or platform that draws the prior
+        differently is refused, never sampled from."""
         # a JSON header never holds a raw newline; files of versions 1-3 are
         # one JSON document on one line
         header, _, payload = read_bytes(path, ValidationError).partition(b"\n")
@@ -238,19 +268,29 @@ class SamplePool:
         except ConfigError as exc:
             raise ValidationError(f"{path}: bad pool domain: {exc}") from exc
         n, dim = doc["n"], domain.dim
-        if len(payload) != 8 * n * (dim + 1):
+        seed = read_field(doc["seed"], int, f"{path}: pool field 'seed'", ValidationError, 0)
+        if len(payload) != 8 * n:
             raise ValidationError(
-                f"{path}: pool columns hold {len(payload)} bytes, not the "
-                f"8 * n * (K + 1) = {8 * n * (dim + 1)} of n={n} latents of dim "
-                f"K={dim} and their log-volumes"
+                f"{path}: pool columns hold {len(payload)} bytes, not the 8 * n = "
+                f"{8 * n} of the log-volumes of n={n} latents"
             )
-        columns = np.frombuffer(payload, dtype="<f8")
+        if n == 0:
+            raise ValidationError(f"{path}: pool is empty: it holds no latents")
+        # the redraw allocates n rows of K floats
+        read_field(n, int, f"{path}: pool field 'n'", ValidationError, row_bytes=8 * dim)
+        z = draw_latents(domain, n, seed)
+        if _latents_sha256(z) != doc["latents_sha256"]:
+            raise ValidationError(
+                f"{path}: the latents redrawn from the header's domain, n and seed "
+                f"do not match its latents_sha256; rebuild it with `polsamp pool build` "
+                f"(another numpy, scipy or platform may draw the prior differently)"
+            )
         try:
             return SamplePool(
-                z=columns[:n * dim].reshape(n, dim),
-                log_volumes=columns[n * dim:],
+                z=z,
+                log_volumes=np.frombuffer(payload, dtype="<f8"),
                 k=doc["k"],
-                seed=doc["seed"],
+                seed=seed,
                 regions=doc["regions"],
                 domain=domain,
                 net_fingerprint=doc["net_fingerprint"],
@@ -273,9 +313,9 @@ class SamplePool:
 
 def region_log_volumes(net, zs, k):
     """Per-latent log-volumes ``sum log(sigma_i + eps)`` of the top-k
-    spectra, plus the (n, num_units) activation bits, in row blocks whose
-    slopes fit in ``cpa.BLOCK_BYTES``, scored on every CPU by
-    ``cpa.map_blocks``.
+    spectra, plus the activation codes as (n, ceil(num_units / 8)) uint8 rows
+    of ``np.packbits``, in row blocks whose slopes fit in ``cpa.BLOCK_BYTES``,
+    scored on every CPU by ``cpa.map_blocks``.
 
     At k = K the product of all singular values is ``|det R|`` of the
     slope's QR, so a row is scored ``sum log(|R_ii| + eps)``, within 1e-7 of
@@ -286,10 +326,11 @@ def region_log_volumes(net, zs, k):
     zs = np.atleast_2d(zs)
     widest = max([net.input_dim] + [layer.out_dim for layer in net.layers])
     lvs = np.empty(zs.shape[0])
-    bits = np.empty((zs.shape[0], net.num_units), dtype=bool)
+    codes = np.empty((zs.shape[0], -(-net.num_units // 8)), dtype=np.uint8)
 
     def score(rows):
-        A, _, bits[rows] = cpa.affine_maps(net, zs[rows])
+        A, _, bits = cpa.affine_maps(net, zs[rows])
+        codes[rows] = np.packbits(bits, axis=1)
         block = lvs[rows]   # a view: rows is a slice
         svd_rows = slice(None)
         if k == net.input_dim:
@@ -301,11 +342,12 @@ def region_log_volumes(net, zs, k):
         block[svd_rows] = np.log(sigma + DEFAULT_EPS).sum(axis=1)
 
     cpa.map_blocks(score, zs.shape[0], 8 * net.input_dim * widest)
-    return lvs, bits
+    return lvs, codes
 
 
 def build_pool(net, domain, n, k, seed, feature_net=None):
-    """Draw n latents i.i.d. from the domain and score each one's region.
+    """Draw the n latents ``draw_latents(domain, n, seed)`` and score each
+    one's region.
 
     Deterministic given the seed; pool construction and later sampling use
     independent RNG streams, so the pool is reusable across sample sizes.
@@ -316,8 +358,9 @@ def build_pool(net, domain, n, k, seed, feature_net=None):
         raise InputError(
             f"domain dim {domain.dim} does not match network input {eff.input_dim}"
         )
-    # a row of z, its score and its bits
-    n = read_field(n, int, "n", InputError, 1, 8 * (eff.input_dim + 1) + eff.num_units)
+    # a row of z, its score and its packed code
+    n = read_field(n, int, "n", InputError, 1,
+                   8 * (eff.input_dim + 1) + -(-eff.num_units // 8))
     k = read_field(k, int, "k", InputError)
     seed = read_field(seed, int, "seed", InputError, 0)
     # every slope factors through each layer, so its rank is at most the
@@ -331,12 +374,10 @@ def build_pool(net, domain, n, k, seed, feature_net=None):
             f"k={k} outside [1, {widths[narrowest]}]: slopes in this space have "
             f"rank at most {widths[narrowest]}, the width of {where}"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    z = domain.sample(n, rng)
-    lvs, bits = region_log_volumes(eff, z, k)
+    z = draw_latents(domain, n, seed)
+    lvs, codes = region_log_volumes(eff, z, k)
     # distinct packed code rows; a net without nonlinear units has one region
-    codes = np.packbits(bits, axis=1)
-    regions = len(set(codes.view(f"V{codes.shape[1]}")[:, 0].tolist())) if bits.size else 1
+    regions = len(set(codes.view(f"V{codes.shape[1]}")[:, 0].tolist())) if codes.size else 1
     return SamplePool(
         z=z,
         log_volumes=lvs,

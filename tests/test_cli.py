@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import polarity_sampling
 from polarity_sampling import (
-    CpaNetwork, ExperimentConfig, LatentDomain, Layer, SamplePool, compose, fingerprint,
-    region_log_volumes, save_model, write_csv, zoo,
+    CpaNetwork, ExperimentConfig, LatentDomain, Layer, SamplePool, compose, draw_latents,
+    fingerprint, region_log_volumes, save_model, write_csv, zoo,
 )
 from polarity_sampling.cli import _write_points, main
 from polarity_sampling.errors import ValidationError
@@ -437,29 +437,29 @@ def _b64(array):
     return base64.b64encode(np.asarray(array).tobytes()).decode("ascii")
 
 
-def _columns(z, lvs):
-    return np.asarray(z, "<f8").tobytes() + np.asarray(lvs, "<f8").tobytes()
+def _column(lvs):
+    return np.asarray(lvs, "<f8").tobytes()
 
 
-def _file(doc, z, lvs):
-    """A format-4 pool file: one JSON header line, then the raw columns."""
-    return json.dumps(doc).encode() + b"\n" + _columns(z, lvs)
+def _file(doc, lvs):
+    """A format-5 pool file: one JSON header line, then the raw log-volumes."""
+    return json.dumps(doc).encode() + b"\n" + _column(lvs)
 
 
 def _set(key, value):
     """Pool file with one header field replaced; ``value`` may be a function of
     the header."""
     return lambda doc, z, lvs: _file(
-        {**doc, key: value(doc) if callable(value) else value}, z, lvs)
+        {**doc, key: value(doc) if callable(value) else value}, lvs)
 
 
 def _drop(key):
-    return lambda doc, z, lvs: _file({k: v for k, v in doc.items() if k != key}, z, lvs)
+    return lambda doc, z, lvs: _file({k: v for k, v in doc.items() if k != key}, lvs)
 
 
 def _payload(edit):
     """Pool file whose column bytes are ``edit(bytes)``."""
-    return lambda doc, z, lvs: _file(doc, [], []) + edit(_columns(z, lvs))
+    return lambda doc, z, lvs: _file(doc, []) + edit(_column(lvs))
 
 
 V1_POOL = {"version": 1, "net_fingerprint": "x", "n": 1, "k": 1, "eps": 1e-12,
@@ -469,18 +469,25 @@ V1_POOL = {"version": 1, "net_fingerprint": "x", "n": 1, "k": 1, "eps": 1e-12,
 
 # each case maps the built pool's (header, z, log_volumes) to the file's bytes
 MALFORMED_POOLS = {
-    "not_an_object": lambda doc, z, lvs: _file([doc], z, lvs),
+    "not_an_object": lambda doc, z, lvs: _file([doc], lvs),
     "v1_file": lambda doc, z, lvs: json.dumps(V1_POOL).encode() + b"\n",
     # a version 2 file: codes and eps in place of regions
     "v2_file": lambda doc, z, lvs: json.dumps({
-        **{k: v for k, v in doc.items() if k != "regions"}, "version": 2,
+        **{k: v for k, v in doc.items() if k not in ("regions", "latents_sha256")},
+        "version": 2,
         "eps": 1e-12, "z": _b64(z), "log_volumes": _b64(lvs), "code_bytes": 1,
         "codes": _b64(np.zeros(doc["n"], np.uint8))}).encode() + b"\n",
     # a version 3 file: one JSON document with base64 columns
     "v3_file": lambda doc, z, lvs: json.dumps({
-        **doc, "version": 3, "z": _b64(z), "log_volumes": _b64(lvs)}).encode() + b"\n",
+        **{k: v for k, v in doc.items() if k != "latents_sha256"}, "version": 3,
+        "z": _b64(z), "log_volumes": _b64(lvs)}).encode() + b"\n",
+    # a version 4 file: a header without the digest, then the raw z and log-volumes
+    "v4_file": lambda doc, z, lvs: _file(
+        {**{k: v for k, v in doc.items() if k != "latents_sha256"}, "version": 4},
+        []) + np.asarray(z, "<f8").tobytes() + _column(lvs),
     "missing_k": _drop("k"),
-    "missing_column": lambda doc, z, lvs: _file(doc, z, []),
+    "no_latents_digest": _drop("latents_sha256"),
+    "missing_column": lambda doc, z, lvs: _file(doc, []),
     "n_is_string": _set("n", "2000"),
     "k_is_float": _set("k", 1.5),
     "seed_is_bool": _set("seed", True),
@@ -494,15 +501,19 @@ MALFORMED_POOLS = {
     "truncated_column": _payload(lambda raw: raw[:-8]),
     "column_cut_inside_a_value": _payload(lambda raw: raw[:-3]),
     "extra_column_bytes": _payload(lambda raw: raw + bytes(8)),
-    "header_not_json": lambda doc, z, lvs: b"{not json\n" + _columns(z, lvs),
-    "header_not_utf8": lambda doc, z, lvs: b"\xff" + _file(doc, z, lvs),
-    "no_newline": lambda doc, z, lvs: _file(doc, z, lvs).replace(b"\n", b"", 1),
+    "header_not_json": lambda doc, z, lvs: b"{not json\n" + _column(lvs),
+    "header_not_utf8": lambda doc, z, lvs: b"\xff" + _file(doc, lvs),
+    "no_newline": lambda doc, z, lvs: _file(doc, lvs).replace(b"\n", b"", 1),
     "empty_file": lambda doc, z, lvs: b"",
-    "nan_latent": lambda doc, z, lvs: _file(doc, np.concatenate([z[:-1], [[np.nan]]]), lvs),
-    "nan_log_volume": lambda doc, z, lvs: _file(doc, z, [np.nan] + [0.0] * (doc["n"] - 1)),
-    "inf_log_volume": lambda doc, z, lvs: _file(doc, z, [0.0] * (doc["n"] - 1) + [-np.inf]),
-    "empty_pool": lambda doc, z, lvs: _file({**doc, "n": 0}, [], []),
+    "nan_log_volume": lambda doc, z, lvs: _file(doc, [np.nan] + [0.0] * (doc["n"] - 1)),
+    "inf_log_volume": lambda doc, z, lvs: _file(doc, [0.0] * (doc["n"] - 1) + [-np.inf]),
+    "empty_pool": lambda doc, z, lvs: _file({**doc, "n": 0}, []),
     "negative_seed": _set("seed", -5),
+    # the latents the header's domain, n and seed draw are not the pool's
+    "latents_digest_mismatch": _set("latents_sha256", "0" * 64),
+    "seed_edited": _set("seed", lambda doc: doc["seed"] + 1),
+    # a box far off every latent the pool scored, the digest kept
+    "domain_edited": _set("domain", {"kind": "uniform_box", "lo": [1e6], "hi": [2e6]}),
     "k_zero": _set("k", 0),
     "regions_zero": _set("regions", 0),
     "regions_above_n": _set("regions", lambda doc: doc["n"] + 1),
@@ -511,28 +522,31 @@ MALFORMED_POOLS = {
 
 # text the error names, for the cases that must fail for one reason
 MALFORMED_POOL_TEXT = {
-    **dict.fromkeys(("v1_file", "v2_file", "v3_file"), "rebuild it with `polsamp pool build`"),
+    **dict.fromkeys(("v1_file", "v2_file", "v3_file", "v4_file"),
+                    "rebuild it with `polsamp pool build`"),
+    **dict.fromkeys(("latents_digest_mismatch", "seed_edited", "domain_edited",
+                     "latent_dim_disagrees"),
+                    "do not match its latents_sha256; rebuild it with `polsamp pool build`"),
     **dict.fromkeys(("missing_column", "truncated_column", "column_cut_inside_a_value",
-                     "extra_column_bytes", "n_disagrees", "latent_dim_disagrees"),
-                    "pool columns hold"),
+                     "extra_column_bytes", "n_disagrees"), "pool columns hold"),
+    "no_latents_digest": "no field 'latents_sha256'",
     "header_not_json": "invalid JSON",
     "header_not_utf8": "utf-8",
     "empty_file": "invalid JSON",
     "empty_pool": "pool is empty",
     "domain_has_no_dimension": "needs at least one dimension",
-    "nan_latent": "pool latents must be finite",
     "nan_log_volume": "pool log-volumes must be finite",
     "inf_log_volume": "pool log-volumes must be finite",
 }
 
 
 def _pool_parts(path):
-    """A pool file's header, z and log-volumes, read without ``SamplePool``."""
+    """A pool file's header, latents and log-volumes, read without
+    ``SamplePool``; the latents are the header's draw."""
     header, _, payload = path.read_bytes().partition(b"\n")
     doc = json.loads(header)
-    columns = np.frombuffer(payload, "<f8")
-    n, dim = doc["n"], len(doc["domain"]["mean"])
-    return doc, columns[:n * dim].reshape(n, dim), columns[n * dim:]
+    z = draw_latents(LatentDomain.from_dict(doc["domain"]), doc["n"], doc["seed"])
+    return doc, z, np.frombuffer(payload, "<f8")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_POOLS))
@@ -1010,10 +1024,11 @@ def test_memory_error_exits_2(workdir, monkeypatch, capsys):
 
 
 def test_sample_refuses_pool_of_another_latent_dim(workdir, capsys):
-    # a hand-made format-4 file: the 1-D bimodal model's fingerprint, 2-D latents
+    # a hand-made pool file: the 1-D bimodal model's fingerprint, 2-D latents
     pool = workdir / "pool.json"
-    SamplePool(z=np.zeros((3, 2)), log_volumes=np.zeros(3), k=1, seed=0, regions=1,
-               domain=LatentDomain("uniform_box", lo=[-1.0, -1.0], hi=[1.0, 1.0]),
+    domain = LatentDomain("uniform_box", lo=[-1.0, -1.0], hi=[1.0, 1.0])
+    SamplePool(z=draw_latents(domain, 3, 0), log_volumes=np.zeros(3), k=1, seed=0,
+               regions=1, domain=domain,
                net_fingerprint=fingerprint(zoo.bimodal_generator())).save(pool)
     rc = main(["sample", "--pool", str(pool), "--model", str(workdir / "bimodal.json"),
                "--rho", "0.0", "--s", "10", "--out", str(workdir / "x.csv")])

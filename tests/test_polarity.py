@@ -1,4 +1,7 @@
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +12,7 @@ from scipy.special import ndtr, ndtri
 
 from polarity_sampling import (
     ConfigError, CpaNetwork, InputError, LatentDomain, Layer, PolaritySampler,
-    SamplePool, build_pool, forward, polarity_weights, identity_net,
+    SamplePool, build_pool, draw_latents, forward, polarity_weights, identity_net,
     region_codes, region_log_volumes, sample_batch,
 )
 from polarity_sampling import cpa, polarity, zoo
@@ -67,9 +70,9 @@ def test_feature_net_pool_scores_the_composed_net():
     net, feat = zoo.two_piece_net(), _feature_net(3.0)
     pool = build_pool(net, zoo.two_piece_domain(), 300, 1, seed=4, feature_net=feat)
     assert pool.net_fingerprint == cpa.fingerprint(net)
-    lvs, bits = region_log_volumes(cpa.compose(net, feat), pool.z, 1)
+    lvs, codes = region_log_volumes(cpa.compose(net, feat), pool.z, 1)
     assert np.array_equal(pool.log_volumes, lvs)
-    assert pool.regions == len(np.unique(bits, axis=0))
+    assert pool.regions == len(np.unique(codes, axis=0))
     output = build_pool(net, zoo.two_piece_domain(), 300, 1, seed=4)
     assert np.array_equal(output.z, pool.z)
     assert not np.array_equal(output.log_volumes, pool.log_volumes)
@@ -405,13 +408,43 @@ def test_pool_file_holds_only_what_sampling_reads(tmp_path):
     header, newline, payload = (tmp_path / "pool.json").read_bytes().partition(b"\n")
     doc = json.loads(header)
     assert list(doc) == ["version", "net_fingerprint", "domain", "n", "k", "seed",
-                         "regions"]
-    assert doc["version"] == polarity.POOL_FORMAT_VERSION == 4
-    # the raw little-endian columns, z row by row, then the log-volumes
-    assert newline and len(payload) == 8 * pool.n * (pool.domain.dim + 1)
-    assert payload == (pool.z.astype("<f8").tobytes()
-                       + pool.log_volumes.astype("<f8").tobytes())
+                         "regions", "latents_sha256"]
+    assert doc["version"] == polarity.POOL_FORMAT_VERSION == 5
+    # the raw little-endian log-volumes; the latents are the header's draw
+    assert newline and len(payload) == 8 * pool.n
+    assert payload == pool.log_volumes.astype("<f8").tobytes()
+    assert doc["latents_sha256"] == hashlib.sha256(pool.z.astype("<f8").tobytes()).hexdigest()
+    assert np.array_equal(pool.z, draw_latents(pool.domain, pool.n, pool.seed))
     assert SamplePool.eps == pool.eps == polarity.DEFAULT_EPS
+
+
+# (net, domain, feature net) of each kind of pool a file round-trips
+_ROUND_TRIP_POOLS = {
+    "uniform_box": (zoo.ramp_2d_net, zoo.ramp_2d_domain, None),
+    "gaussian": (zoo.bimodal_generator, zoo.bimodal_domain, None),
+    "truncated": (zoo.bimodal_generator, lambda: zoo.bimodal_domain().truncate(0.6), None),
+    "feature_net": (zoo.two_piece_net, zoo.two_piece_domain, lambda: _feature_net(3.0)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_ROUND_TRIP_POOLS)), st.integers(1, 3000),
+       st.integers(0, 2**64 - 1), st.sampled_from([1, 2]))
+def test_loaded_pool_equals_the_built_pool_byte_for_byte(kind, n, seed, workers):
+    make_net, make_domain, make_feature_net = _ROUND_TRIP_POOLS[kind]
+    feature_net = make_feature_net and make_feature_net()
+    # small blocks, so the workers share several
+    with mock.patch.object(cpa, "_workers", lambda: workers), \
+            mock.patch.object(cpa, "BLOCK_BYTES", 4096):
+        pool = build_pool(make_net(), make_domain(), n, 1, seed, feature_net=feature_net)
+    with tempfile.TemporaryDirectory() as d:
+        pool.save(Path(d) / "pool.json")
+        loaded = SamplePool.load(Path(d) / "pool.json")
+    assert loaded.z.tobytes() == pool.z.tobytes()
+    assert loaded.log_volumes.tobytes() == pool.log_volumes.tobytes()
+    assert ((loaded.k, loaded.seed, loaded.regions, loaded.domain.to_dict(),
+             loaded.net_fingerprint)
+            == (pool.k, pool.seed, pool.regions, pool.domain.to_dict(), pool.net_fingerprint))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -445,7 +478,7 @@ def test_distinct_code_count_matches_digest_reference():
 def test_distinct_code_count_matches_unique_rows(n, width, alphabet, seed):
     # a small alphabet repeats rows; width 0 is a net without nonlinear units
     codes = np.random.default_rng(seed).integers(0, alphabet, (n, width)).astype(np.uint8)
-    scored = (np.zeros(n), np.unpackbits(codes, axis=1).astype(bool))
+    scored = (np.zeros(n), codes)
     with mock.patch.object(polarity, "region_log_volumes", return_value=scored):
         pool = build_pool(identity_net(1), LatentDomain("uniform_box", lo=[-1.0], hi=[1.0]),
                           n, 1, seed=0)

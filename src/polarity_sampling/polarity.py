@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cpa
+from . import _cephes, cpa
 from .errors import (
     ConfigError, InputError, ValidationError, finite_array, is_finite, parse_json,
     read_bytes, read_field,
@@ -113,15 +113,19 @@ class LatentDomain:
             z = rng.standard_normal((n, self.dim))
         else:
             # the psi-box factorizes per axis: invert each axis's normal CDF
-            # between the two box edges.  scipy loads here, on the first
-            # truncated draw, so the untruncated CLI runs never import it.
-            from scipy.special import ndtr, ndtri
-
-            z = rng.uniform(ndtr(-2.0 * self.psi), ndtr(2.0 * self.psi), size=(n, self.dim))
-            ndtri(z, out=z)
+            # between the two box edges, by the ports of scipy.special's
+            # ndtr and ndtri, so that the draws are scipy's to the bit
+            z = _cephes.ndtri(rng.uniform(_cephes.ndtr(-2.0 * self.psi),
+                                          _cephes.ndtr(2.0 * self.psi), size=(n, self.dim)))
         # in place, the same bytes as mean + std * z
-        z *= self.std
-        z += self.mean
+        try:
+            with np.errstate(over="raise"):
+                z *= self.std
+                z += self.mean
+        except FloatingPointError as exc:
+            psi = "" if self.psi is None else f", psi={self.psi}"
+            raise InputError(f"a draw of the gaussian domain mean={self.mean.tolist()}, "
+                             f"std={self.std.tolist()}{psi} leaves the float range") from exc
         return z
 
     def truncate(self, psi):
@@ -247,8 +251,8 @@ class SamplePool:
     def load(path):
         """The pool saved at ``path``: the header is checked first, then the
         latents are redrawn from its domain, n and seed and must match its
-        ``latents_sha256``.  A numpy, scipy or platform that draws the prior
-        differently is refused, never sampled from."""
+        ``latents_sha256``.  A numpy or libm that draws the prior differently
+        is refused, never sampled from."""
         # a JSON header never holds a raw newline; files of versions 1-3 are
         # one JSON document on one line
         header, _, payload = read_bytes(path, ValidationError).partition(b"\n")
@@ -278,12 +282,15 @@ class SamplePool:
             raise ValidationError(f"{path}: pool is empty: it holds no latents")
         # the redraw allocates n rows of K floats
         read_field(n, int, f"{path}: pool field 'n'", ValidationError, row_bytes=8 * dim)
-        z = draw_latents(domain, n, seed)
+        try:
+            z = draw_latents(domain, n, seed)
+        except InputError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
         if _latents_sha256(z) != doc["latents_sha256"]:
             raise ValidationError(
                 f"{path}: the latents redrawn from the header's domain, n and seed "
                 f"do not match its latents_sha256; rebuild it with `polsamp pool build` "
-                f"(another numpy, scipy or platform may draw the prior differently)"
+                f"(another numpy or libm may draw the prior differently)"
             )
         try:
             return SamplePool(

@@ -78,6 +78,14 @@ GOLDEN = {
         ("999ee832d328cb587204e49210dc742859f0723b604a6d594ff48c091d3c2d22",
          "2e3dfdcc007fd8fdd26d4ae51b27aaa027189d69b6bf5a5b9aacf6b9cd625241"),
     ),
+    # the truncated prior: these digests were drawn with scipy.special's ndtr
+    # and ndtri, so they pin the package's ports to scipy's bits
+    "bimodal_psi0.7": (
+        zoo.bimodal_generator, lambda: zoo.bimodal_domain().truncate(0.7), 7, 2000, 1,
+        "pool: 2000 records, 2 distinct regions -> {pool}\n",
+        ("be8daf1dd8a7e4cb72984d69aed3a8d6997cf85e929ed94d30689f3b4de755b1",
+         "c5de1e5dcd1e9ec909cf0bc27518b5916fbf27ec6b15e66ab8606e5afeb6b60e"),
+    ),
     # a larger pool: its bytes pin 10,000 prior draws taken in one call
     "ramp_2d": (
         zoo.ramp_2d_net, zoo.ramp_2d_domain, 3, 10000, 2,
@@ -514,6 +522,8 @@ MALFORMED_POOLS = {
     "seed_edited": _set("seed", lambda doc: doc["seed"] + 1),
     # a box far off every latent the pool scored, the digest kept
     "domain_edited": _set("domain", {"kind": "uniform_box", "lo": [1e6], "hi": [2e6]}),
+    "domain_draw_overflows": _set(
+        "domain", {"kind": "gaussian", "mean": [0.0], "std": [1e308]}),
     "k_zero": _set("k", 0),
     "regions_zero": _set("regions", 0),
     "regions_above_n": _set("regions", lambda doc: doc["n"] + 1),
@@ -535,6 +545,7 @@ MALFORMED_POOL_TEXT = {
     "empty_file": "invalid JSON",
     "empty_pool": "pool is empty",
     "domain_has_no_dimension": "needs at least one dimension",
+    "domain_draw_overflows": "std=[1e+308] leaves the float range",
     "nan_log_volume": "pool log-volumes must be finite",
     "inf_log_volume": "pool log-volumes must be finite",
 }
@@ -705,6 +716,11 @@ def _config_edit(**fields):
     return "config", lambda doc: {**doc, **fields}
 
 
+def _pool_config_edit(**fields):
+    # density eval refuses any gaussian domain before it draws: pool build draws
+    return "pool config", lambda doc: {**doc, **fields}
+
+
 def _model_edit(layer=None, **fields):
     def edit(doc):
         doc = {**doc, **fields}
@@ -735,6 +751,14 @@ MALFORMED_INPUTS = {
         domain={"kind": "uniform_box", "lo": [1.0], "hi": [0.0]}), "lo < hi"),
     "domain_width_overflows": (*_config_edit(
         domain={"kind": "uniform_box", "lo": [-1e308], "hi": [1e308]}), "finite hi - lo"),
+    # each std is finite, so are the draws of a standard normal, but not their
+    # product, or its sum with the mean
+    "domain_draw_overflows": (*_pool_config_edit(
+        domain={"kind": "gaussian", "mean": [0.0], "std": [1e308]}),
+        "gaussian domain mean=[0.0], std=[1e+308] leaves the float range"),
+    "domain_draw_plus_mean_overflows": (*_pool_config_edit(
+        domain={"kind": "gaussian", "mean": [1.7e308], "std": [1e307]}),
+        "gaussian domain mean=[1.7e+308], std=[1e+307] leaves the float range"),
     "domain_bool_among_numbers": (*_config_edit(
         domain={"kind": "gaussian", "mean": [0.0, True], "std": [1.0, 1.0]}), "'mean'"),
     "domain_std_zero": (*_config_edit(
@@ -810,13 +834,17 @@ def test_malformed_input_exits_2(case, tmp_path, capsys, recwarn):
     if which == "points":
         pts.write_text(edit)
     else:
-        path = cfg if which == "config" else model
+        path = model if which == "model" else cfg
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    rc = main(["density", "eval", "--config", str(cfg), "--rho", "0.0",
-               "--points", str(pts), "--out", str(tmp_path / "d.csv")])
+    argv = ["density", "eval", "--config", str(cfg), "--rho", "0.0",
+            "--points", str(pts), "--out", str(tmp_path / "d.csv")]
+    if which == "pool config":
+        argv = ["pool", "build", "--config", str(cfg), "--out", str(tmp_path / "p.json")]
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1, err
     if names:
         assert names in err
     assert not recwarn.list, [str(w.message) for w in recwarn]
@@ -1048,22 +1076,29 @@ def _scipy_modules_after(code):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-# scipy costs every CLI process start-up time and memory; only the psi < 1
-# prior needs it (scipy.special's ndtr and ndtri)
+# scipy costs every CLI process start-up time and memory, and no run needs
+# it: the psi < 1 prior draws by the package's ports of ndtr and ndtri
 @pytest.mark.parametrize("module", ["polarity_sampling", "polarity_sampling.cli"])
 def test_importing_loads_no_scipy(module):
     assert _scipy_modules_after(f"import {module}") == []
 
 
 def test_untruncated_pool_build_and_sample_load_no_scipy(workdir):
-    cfg, model, pool = (str(workdir / f) for f in ("cfg.json", "bimodal.json", "pool.json"))
-    draws = str(workdir / "draws.csv")
-    code = (
-        "from polarity_sampling import cli\n"
-        f"assert cli.main(['pool', 'build', '--config', {cfg!r}, '--out', {pool!r}]) == 0\n"
-        f"assert cli.main(['sample', '--pool', {pool!r}, '--model', {model!r}, "
-        f"'--rho', '-1.0', '--s', '50', '--out', {draws!r}]) == 0"
-    )
+    # and neither do a truncated pool build plus sample, nor a truncated pareto
+    doc = json.loads((workdir / "cfg.json").read_text())
+    (workdir / "psi.json").write_text(json.dumps(
+        {**doc, "domain": {**doc["domain"], "psi": 0.7}}))
+    (workdir / "pareto.json").write_text(json.dumps({**doc, "psi_grid": [1.0, 0.7]}))
+    model, pareto, out = (str(workdir / f) for f in ("bimodal.json", "pareto.json", "p.csv"))
+    code = "from polarity_sampling import cli\n"
+    for name in ("cfg", "psi"):
+        cfg, pool, draws = (str(workdir / f"{name}.{ext}") for ext in ("json", "pool", "csv"))
+        code += (
+            f"assert cli.main(['pool', 'build', '--config', {cfg!r}, '--out', {pool!r}]) == 0\n"
+            f"assert cli.main(['sample', '--pool', {pool!r}, '--model', {model!r}, "
+            f"'--rho', '-1.0', '--s', '50', '--out', {draws!r}]) == 0\n"
+        )
+    code += f"assert cli.main(['pareto', '--config', {pareto!r}, '--out', {out!r}]) == 0"
     assert _scipy_modules_after(code) == []
 
 
@@ -1096,9 +1131,3 @@ def test_cli_start_loads_no_executor_and_starts_no_thread(code, tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert json.loads(out.stdout.splitlines()[-1]) == [False, 1]
-
-
-def test_first_truncated_draw_loads_scipy_special():
-    code = ("import numpy as np\nfrom polarity_sampling import zoo\n"
-            "zoo.bimodal_domain().truncate(0.7).sample(10, np.random.default_rng(0))")
-    assert "scipy.special" in _scipy_modules_after(code)

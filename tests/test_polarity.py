@@ -15,7 +15,7 @@ from polarity_sampling import (
     SamplePool, build_pool, draw_latents, forward, polarity_weights, identity_net,
     region_codes, region_log_volumes, sample_batch,
 )
-from polarity_sampling import cpa, polarity, zoo
+from polarity_sampling import _cephes, cpa, polarity, zoo
 from polarity_sampling.errors import ValidationError
 
 
@@ -373,6 +373,20 @@ def test_truncated_draws_are_inverse_cdf_bytes(psi, dim, n, seed):
     rng = np.random.default_rng(seed)
     u = rng.uniform(ndtr(-2.0 * psi), ndtr(2.0 * psi), size=(n, dim))
     assert got.tobytes() == (mean + std * ndtri(u)).tobytes()
+
+
+def test_cephes_ports_match_scipy_at_branch_edges():
+    # ndtr turns from erf to erfc at |x| = sqrt(1/2), which the box edge
+    # x = 2 psi / sqrt(2) crosses at psi = 0.5; ndtri turns from its central
+    # to its tail tables at exp(-2) and 1 - exp(-2)
+    for psi in (5e-324, 1e-300, 0.7, 1.0, 0.5, *np.nextafter(0.5, [0.0, 1.0])):
+        for edge in (-2.0 * psi, 2.0 * psi):
+            assert np.float64(_cephes.ndtr(edge)).tobytes() == ndtr(edge).tobytes(), edge
+    turns = np.exp(-2.0), 1.0 - np.exp(-2.0)
+    ys = np.array([*turns, *np.nextafter(turns, 0.0), *np.nextafter(turns, 1.0),
+                   0.5, ndtr(-2.0), ndtr(2.0)])
+    got, want = _cephes.ndtri(ys.copy()), ndtri(ys)
+    assert got.tobytes() == want.tobytes(), ys[got != want]
 
 
 def test_truncation_rejects_box_domain():

@@ -1084,21 +1084,33 @@ def test_importing_loads_no_scipy(module):
 
 
 def test_untruncated_pool_build_and_sample_load_no_scipy(workdir):
-    # and neither do a truncated pool build plus sample, nor a truncated pareto
+    cfg, model, pool = (str(workdir / f) for f in ("cfg.json", "bimodal.json", "pool.json"))
+    draws = str(workdir / "draws.csv")
+    code = (
+        "from polarity_sampling import cli\n"
+        f"assert cli.main(['pool', 'build', '--config', {cfg!r}, '--out', {pool!r}]) == 0\n"
+        f"assert cli.main(['sample', '--pool', {pool!r}, '--model', {model!r}, "
+        f"'--rho', '-1.0', '--s', '50', '--out', {draws!r}]) == 0"
+    )
+    assert _scipy_modules_after(code) == []
+
+
+def test_first_truncated_draw_loads_no_scipy(workdir):
+    # nor do a psi < 1 draw, a truncated pool build plus sample, or a truncated pareto
     doc = json.loads((workdir / "cfg.json").read_text())
-    (workdir / "psi.json").write_text(json.dumps(
-        {**doc, "domain": {**doc["domain"], "psi": 0.7}}))
-    (workdir / "pareto.json").write_text(json.dumps({**doc, "psi_grid": [1.0, 0.7]}))
-    model, pareto, out = (str(workdir / f) for f in ("bimodal.json", "pareto.json", "p.csv"))
-    code = "from polarity_sampling import cli\n"
-    for name in ("cfg", "psi"):
-        cfg, pool, draws = (str(workdir / f"{name}.{ext}") for ext in ("json", "pool", "csv"))
-        code += (
-            f"assert cli.main(['pool', 'build', '--config', {cfg!r}, '--out', {pool!r}]) == 0\n"
-            f"assert cli.main(['sample', '--pool', {pool!r}, '--model', {model!r}, "
-            f"'--rho', '-1.0', '--s', '50', '--out', {draws!r}]) == 0\n"
-        )
-    code += f"assert cli.main(['pareto', '--config', {pareto!r}, '--out', {out!r}]) == 0"
+    cfg, pareto = workdir / "psi.json", workdir / "pareto.json"
+    cfg.write_text(json.dumps({**doc, "domain": {**doc["domain"], "psi": 0.7}}))
+    pareto.write_text(json.dumps({**doc, "psi_grid": [1.0, 0.7]}))
+    model, pool, draws, out = (str(workdir / f)
+                               for f in ("bimodal.json", "psi.pool", "psi.csv", "p.csv"))
+    code = (
+        "import numpy as np\nfrom polarity_sampling import cli, zoo\n"
+        "zoo.bimodal_domain().truncate(0.7).sample(10, np.random.default_rng(0))\n"
+        f"assert cli.main(['pool', 'build', '--config', {str(cfg)!r}, '--out', {pool!r}]) == 0\n"
+        f"assert cli.main(['sample', '--pool', {pool!r}, '--model', {model!r}, "
+        f"'--rho', '-1.0', '--s', '50', '--out', {draws!r}]) == 0\n"
+        f"assert cli.main(['pareto', '--config', {str(pareto)!r}, '--out', {out!r}]) == 0"
+    )
     assert _scipy_modules_after(code) == []
 
 

@@ -264,38 +264,67 @@ def forward(net, z):
     return h[0] if squeeze else h
 
 
+def _codes_and_output(net, z):
+    """One forward walk over checked latents: their activation codes as a
+    (n, num_units) bool array, and the network's output."""
+    bits = [np.zeros((z.shape[0], 0), dtype=bool)]
+    for layer, pre in _layers(net, z):
+        if layer.nonlinear:
+            bits.append(pre > 0.0)
+    return np.concatenate(bits, axis=1), pre
+
+
 def region_codes(net, z):
     """Activation codes for a batch of latents, as a (n, num_units) bool array.
 
     Bit convention: 1 iff the pre-activation is strictly positive; an exact
     zero lands on the "off" branch.
     """
-    h, _ = _check_input(net, z)
-    bits = [pre > 0.0 for layer, pre in _layers(net, h) if layer.nonlinear]
-    return np.concatenate([np.zeros((h.shape[0], 0), dtype=bool), *bits], axis=1)
+    return _codes_and_output(net, _check_input(net, z)[0])[0]
+
+
+def slopes(net, bits):
+    """The slopes ``A``, (n, D, K), of the regions whose activation codes are
+    the rows of ``bits``, a (n, num_units) bool array as ``region_codes``
+    returns it.
+
+    The one slope chain of the package: it starts from I_K, and each layer
+    applies ``A = W @ A``, then scales the rows of its units by their bits
+    (1 when on; 0 for relu, alpha for leaky relu, when off).  A slope
+    depends on its code alone, and numpy's stacked matmul computes each
+    matrix on its own, so a region's slope has the same bits in any batch.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    if bits.ndim != 2 or bits.shape[1] != net.num_units:
+        raise InputError(f"expected activation codes of {net.num_units} bits, "
+                         f"got shape {bits.shape}")
+    K = net.input_dim
+    A = np.broadcast_to(np.eye(K), (bits.shape[0], K, K)).copy()
+    unit = 0
+    for layer in net.layers:
+        A = layer.weight[None, :, :] @ A
+        if layer.nonlinear:
+            on = bits[:, unit:unit + layer.out_dim]
+            unit += layer.out_dim
+            scale = np.where(on, 1.0, 0.0 if layer.activation == "relu" else layer.alpha)
+            A *= scale[:, :, None]
+    return A
 
 
 def affine_maps(net, z):
     """Exact per-region affine maps at a batch of latents.
 
     Returns (A, b, bits) with shapes (n, D, K), (n, D) and (n, num_units);
-    ``bits`` equals ``region_codes(net, z)``.  The activation mask is fixed
-    by the code at each point, so the returned map reproduces ``forward``
-    exactly everywhere inside that point's region.
+    ``bits`` equals ``region_codes(net, z)`` and ``A`` equals
+    ``slopes(net, bits)``.  The activation mask is fixed by the code at each
+    point, so the returned map reproduces ``forward`` exactly everywhere
+    inside that point's region.
     """
     z0, _ = _check_input(net, z)
-    n, K = z0.shape
-    A = np.broadcast_to(np.eye(K), (n, K, K)).copy()
-    bits = [np.zeros((n, 0), dtype=bool)]
-    for layer, h in _layers(net, z0):
-        A = layer.weight[None, :, :] @ A
-        if layer.nonlinear:
-            on = h > 0.0
-            bits.append(on)
-            scale = np.where(on, 1.0, 0.0 if layer.activation == "relu" else layer.alpha)
-            A *= scale[:, :, None]
+    bits, h = _codes_and_output(net, z0)
+    A = slopes(net, bits)
     b = h - np.einsum("ndk,nk->nd", A, z0)
-    return A, b, np.concatenate(bits, axis=1)
+    return A, b, bits
 
 
 def compose(inner, outer):

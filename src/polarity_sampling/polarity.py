@@ -3,8 +3,10 @@
 Pool construction draws N latents, records each one's region log-volume
 (sum of log(sigma_i + eps) over the top-k singular values of the local
 slope matrix; at k = K, sum of log(|R_ii| + eps) over the slope's QR
-diagonal, within 1e-7 of it, with rows near rank deficiency scored by SVD),
-and the sampler then resamples those latents under softmax(rho * log-volume):
+diagonal, within 1e-7 of it, with rows near rank deficiency scored by SVD;
+slope and QR or SVD run once per distinct activation code in each scoring
+block, as a region's slope is constant), and the sampler then resamples
+those latents under softmax(rho * log-volume):
 rho < 0 concentrates on the output-density modes (small Jacobian volume),
 rho > 0 on the anti-modes, rho = 0 reproduces the prior.
 
@@ -320,9 +322,17 @@ class SamplePool:
 
 def region_log_volumes(net, zs, k):
     """Per-latent log-volumes ``sum log(sigma_i + eps)`` of the top-k
-    spectra, plus the activation codes as (n, ceil(num_units / 8)) uint8 rows
-    of ``np.packbits``, in row blocks whose slopes fit in ``cpa.BLOCK_BYTES``,
+    spectra, plus the activation codes of each block's distinct regions as
+    rows of ``np.packbits`` (ceil(num_units / 8) bytes; a code may recur in
+    another block), in row blocks whose slopes fit in ``cpa.BLOCK_BYTES``,
     scored on every CPU by ``cpa.map_blocks``.
+
+    A block's code pass (``cpa.region_codes``) finds its distinct codes;
+    slopes and their QR or SVD run once per distinct code, and each latent
+    takes the score of its code.  A slope depends on its code alone, and
+    its QR and SVD run per matrix, so a score has the same bits whichever
+    latent stands for the region.  A pre-activation that overflows, or
+    that is NaN, raises FloatingPointError naming the model.
 
     At k = K the product of all singular values is ``|det R|`` of the
     slope's QR, so a row is scored ``sum log(|R_ii| + eps)``, within 1e-7 of
@@ -333,12 +343,24 @@ def region_log_volumes(net, zs, k):
     zs = np.atleast_2d(zs)
     widest = max([net.input_dim] + [layer.out_dim for layer in net.layers])
     lvs = np.empty(zs.shape[0])
-    codes = np.empty((zs.shape[0], -(-net.num_units // 8)), dtype=np.uint8)
 
     def score(rows):
-        A, _, bits = cpa.affine_maps(net, zs[rows])
-        codes[rows] = np.packbits(bits, axis=1)
-        block = lvs[rows]   # a view: rows is a slice
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                bits = cpa.region_codes(net, zs[rows])
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"model {net.name!r}: a pre-activation at a pool "
+                                     f"latent leaves the float range ({exc})") from exc
+        codes = np.packbits(bits, axis=1)
+        # one key per packed row: an unsigned integer where numpy has one of
+        # its width (it sorts ~10x faster than a void), else a void; a net
+        # without nonlinear units has one code
+        width = codes.shape[1]
+        keys = (codes.view(f"u{width}" if width in (1, 2, 4, 8) else f"V{width}")[:, 0]
+                if width else np.zeros(len(codes), np.uint8))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        A = cpa.slopes(net, bits[first])
+        block = np.empty(len(first))
         svd_rows = slice(None)
         if k == net.input_dim:
             d = np.abs(np.diagonal(np.linalg.qr(A, mode="raw")[0], axis1=1, axis2=2))
@@ -347,9 +369,11 @@ def region_log_volumes(net, zs, k):
         # called on every block, also with no row: it checks k <= min(D, K)
         sigma = batch_top_k_singular_values(A[svd_rows], k)
         block[svd_rows] = np.log(sigma + DEFAULT_EPS).sum(axis=1)
+        np.take(block, inverse, out=lvs[rows])   # lvs[rows] is a view: rows is a slice
+        return codes[first]
 
-    cpa.map_blocks(score, zs.shape[0], 8 * net.input_dim * widest)
-    return lvs, codes
+    blocks = cpa.map_blocks(score, zs.shape[0], 8 * net.input_dim * widest)
+    return lvs, np.concatenate([np.empty((0, -(-net.num_units // 8)), np.uint8), *blocks])
 
 
 def build_pool(net, domain, n, k, seed, feature_net=None):
@@ -383,7 +407,8 @@ def build_pool(net, domain, n, k, seed, feature_net=None):
         )
     z = draw_latents(domain, n, seed)
     lvs, codes = region_log_volumes(eff, z, k)
-    # distinct packed code rows; a net without nonlinear units has one region
+    # distinct packed code rows among the blocks' distinct codes; a net
+    # without nonlinear units has one region
     regions = len(set(codes.view(f"V{codes.shape[1]}")[:, 0].tolist())) if codes.size else 1
     return SamplePool(
         z=z,

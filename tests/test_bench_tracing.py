@@ -35,7 +35,7 @@ def test_tracer_patches_and_restores_every_site(tracing):
     assert all(new is not old for (_, _, old), (_, _, new) in zip(before, during))
     assert all(now is old for (_, _, old), (_, _, now) in zip(before, _sites(tracing)))
     spans = {name for name, *_ in tracer.spans}
-    assert {"polarity.build_pool", "cpa.affine_maps", "spectral.svd"} <= spans
+    assert {"polarity.build_pool", "cpa.region_codes", "spectral.svd"} <= spans
     assert np.isfinite(tracer.layer_totals()["covered_s"])
 
 

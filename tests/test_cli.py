@@ -850,6 +850,24 @@ def test_malformed_input_exits_2(case, tmp_path, capsys, recwarn):
     assert not recwarn.list, [str(w.message) for w in recwarn]
 
 
+def test_forward_past_the_float_range_exits_3(tmp_path, capsys, recwarn):
+    # finite psi-truncated draws up to 1.4e308, which bimodal's slope-4
+    # output layer takes past the float range
+    model, cfg, out = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "p.json"
+    save_model(zoo.bimodal_generator(), model)
+    ExperimentConfig(model_path=str(model), seed=1, rho_grid=[0.0], n=100, k=1,
+                     domain={"kind": "gaussian", "mean": [0.0], "std": [1e308], "psi": 0.7},
+                     ).to_json(cfg)
+    rc = main(["pool", "build", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith("numerical error: ") and "Traceback" not in err
+    assert err.count("\n") == 1, err
+    assert "model 'bimodal'" in err
+    assert not out.exists()
+    assert not recwarn.list, [str(w.message) for w in recwarn]
+
+
 # case -> (edit of the config's reference spec, text the error names)
 MALFORMED_REFERENCES = {
     "spec_is_list": (lambda ref: [ref], "object"),

@@ -299,6 +299,71 @@ def test_log_volumes_refuse_k_above_the_slope_rank():
         region_log_volumes(zoo.halfspace_net(), np.ones((5, 2)), 2)
 
 
+def _per_row_log_volumes(net, z, k):
+    """The oracle of region_log_volumes, one latent at a time: its own
+    ``affine_maps`` slope, scored by its QR diagonal at k = K unless flagged,
+    else by its SVD."""
+    out = np.empty(len(z))
+    for i, row in enumerate(z):
+        A = cpa.affine_maps(net, row[None])[0]
+        if k == net.input_dim:
+            d = np.abs(np.diagonal(np.linalg.qr(A, mode="raw")[0], axis1=1, axis2=2))
+            if d.min() > polarity._QR_FLAG * max(d.max(), 1.0):
+                out[i] = np.log(d + polarity.DEFAULT_EPS).sum(axis=1)[0]
+                continue
+        sigma = np.linalg.svd(A, compute_uv=False)[:, :k]
+        out[i] = np.log(sigma + polarity.DEFAULT_EPS).sum(axis=1)[0]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 32]), st.booleans(),
+       st.sampled_from([1, 200, cpa.BLOCK_BYTES]), st.sampled_from([1, 2]))
+def test_region_scores_equal_the_per_row_oracle_bit_for_bit(seed, max_width, linear,
+                                                            budget, workers):
+    # narrow nets repeat regions, and the latents repeat rows, so most blocks
+    # score a region for several latents; a linear net has one region
+    net = zoo.random_net(seed, max_width=max_width)
+    if linear:
+        net = CpaNetwork(net.name, tuple(Layer(l.weight, l.bias) for l in net.layers))
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((40, net.input_dim))[rng.integers(0, 40, 120)]
+    bits = region_codes(net, z)
+    assert cpa.slopes(net, bits).tobytes() == cpa.affine_maps(net, z)[0].tobytes()
+    # k = K takes the QR path where the output is at least as wide as the latent
+    for k in sorted({1, min(net.input_dim, net.output_dim)}):
+        with mock.patch.object(cpa, "BLOCK_BYTES", budget), _workers(workers):
+            lvs, codes = region_log_volumes(net, z, k)
+        assert lvs.tobytes() == _per_row_log_volumes(net, z, k).tobytes()
+        assert ({row.tobytes() for row in codes}
+                == {row.tobytes() for row in np.packbits(bits, axis=1)})
+    if linear:
+        assert bits.shape == (len(z), 0)
+
+
+def test_slopes_run_once_per_distinct_code_in_each_block():
+    # two regions on the ramp_2d box: each block builds two slopes, not one per latent
+    net, domain, n = zoo.ramp_2d_net(), zoo.ramp_2d_domain(), 100_000
+    slopes, codes_of = cpa.slopes, cpa.region_codes
+    slope_rows, block_bits = [], []
+
+    def spy_slopes(net, bits):
+        slope_rows.append(len(bits))
+        return slopes(net, bits)
+
+    def spy_codes(net, z):
+        block_bits.append(codes_of(net, z))
+        return block_bits[-1]
+
+    with mock.patch.object(cpa, "slopes", spy_slopes), \
+            mock.patch.object(cpa, "region_codes", spy_codes):
+        pool = build_pool(net, domain, n, 2, seed=3)
+    assert sum(len(bits) for bits in block_bits) == n and len(block_bits) > 1
+    distinct = sum(len(np.unique(bits, axis=0)) for bits in block_bits)
+    assert sum(slope_rows) == distinct == 2 * len(block_bits)
+    assert pool.regions == len(np.unique(codes_of(net, pool.z), axis=0)) == 2
+
+
 def _two_piece_pool(n=100):
     net = zoo.two_piece_net()
     return net, build_pool(net, zoo.two_piece_domain(), n, 1, seed=5)

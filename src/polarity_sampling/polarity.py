@@ -3,7 +3,8 @@
 Pool construction draws N latents, records each one's region log-volume
 (sum of log(sigma_i + eps) over the top-k singular values of the local
 slope matrix; at k = K, sum of log(|R_ii| + eps) over the slope's QR
-diagonal, within 1e-7 of it, with rows near rank deficiency scored by SVD;
+diagonal, within 1e-7 of it, with rows near rank deficiency, or where
+the eps may move the two forms apart, scored by SVD;
 slope and QR or SVD run once per distinct activation code in each scoring
 block, as a region's slope is constant), and the sampler then resamples
 those latents under softmax(rho * log-volume):
@@ -31,9 +32,11 @@ from .spectral import batch_top_k_singular_values
 
 DEFAULT_EPS = 1e-12
 POOL_FORMAT_VERSION = 5
-# a k = K slope whose smallest |R_ii| is at most this times max(max |R_ii|, 1)
-# is scored by SVD, not by its QR diagonal
+# a k = K slope is scored by SVD, not by its QR diagonal, where its smallest
+# |R_ii| is at most _QR_FLAG times max(max |R_ii|, 1), or where the eps may
+# move the QR and SVD forms apart by more than _QR_GAP
 _QR_FLAG = 1e-4
+_QR_GAP = 5e-8
 # pool header fields and their JSON types
 _POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
                 "seed": int, "regions": int, "latents_sha256": str}
@@ -320,6 +323,29 @@ class SamplePool:
                               f"input_dim is {net.input_dim}")
 
 
+def _eps_gap_too_wide(A, h, d, rows):
+    """Which of the full-rank k = K slopes ``rows`` may score more than
+    ``_QR_GAP`` apart by QR and by SVD, given their raw QR ``h`` and its
+    ``|R_ii|`` ``d``.
+
+    Without the eps both forms are ``log |det R|``; the eps moves them apart
+    by at most ``eps * sum(1 / sigma_i)`` (or ``eps * sum(1 / |R_ii|)``),
+    both at most ``eps * sqrt(K) * ||R^-1||_F <= eps * K / sigma_min``.  R is
+    inverted only where ``sigma_min >= prod |R_ii| * ((K - 1) /
+    ||A||_F^2)^((K - 1) / 2)`` (AM-GM on the other K - 1 singular values)
+    does not already clear the slope.
+    """
+    K = d.shape[1]
+    with np.errstate(all="ignore"):   # log(0) on rows already flagged; huge slopes
+        log_floor = (np.log(d).sum(axis=1) - (K - 1) / 2
+                     * np.log(np.einsum("nij,nij->n", A, A) / max(K - 1, 1)))
+    unsure = np.flatnonzero(rows & ~(log_floor >= math.log(DEFAULT_EPS * K / _QR_GAP)))
+    wide = np.zeros(len(d), dtype=bool)
+    r_inv = np.linalg.inv(np.tril(h[unsure, :, :K]))
+    wide[unsure] = DEFAULT_EPS * math.sqrt(K) * np.linalg.norm(r_inv, axis=(1, 2)) > _QR_GAP
+    return wide
+
+
 def region_log_volumes(net, zs, k):
     """Per-latent log-volumes ``sum log(sigma_i + eps)`` of the top-k
     spectra, plus the activation codes of each block's distinct regions as
@@ -337,8 +363,10 @@ def region_log_volumes(net, zs, k):
     At k = K the product of all singular values is ``|det R|`` of the
     slope's QR, so a row is scored ``sum log(|R_ii| + eps)``, within 1e-7 of
     the singular-value form, unless its smallest ``|R_ii|`` is at most
-    ``_QR_FLAG * max(max |R_ii|, 1)``: there the eps floor or a rank
-    deficiency may act, and the row is scored by SVD like every row at k < K.
+    ``_QR_FLAG * max(max |R_ii|, 1)`` (a rank deficiency may act) or
+    ``eps * sqrt(K) * ||R^-1||_F``, which bounds what the eps does to the two
+    forms (``1 / sigma_min <= ||R^-1||_F``), exceeds ``_QR_GAP``: such a row
+    is scored by SVD like every row at k < K.
     """
     zs = np.atleast_2d(zs)
     widest = max([net.input_dim] + [layer.out_dim for layer in net.layers])
@@ -362,10 +390,13 @@ def region_log_volumes(net, zs, k):
         A = cpa.slopes(net, bits[first])
         block = np.empty(len(first))
         svd_rows = slice(None)
-        if k == net.input_dim:
-            d = np.abs(np.diagonal(np.linalg.qr(A, mode="raw")[0], axis1=1, axis2=2))
+        # an output narrower than K leaves k above the rank: the SVD call refuses it
+        if k == net.input_dim <= net.output_dim:
+            h = np.linalg.qr(A, mode="raw")[0]    # R transposed in its lower triangle
+            d = np.abs(np.diagonal(h, axis1=1, axis2=2))
             block[:] = np.log(d + DEFAULT_EPS).sum(axis=1)
             svd_rows = d.min(axis=1) <= _QR_FLAG * np.maximum(d.max(axis=1), 1.0)
+            svd_rows |= _eps_gap_too_wide(A, h, d, ~svd_rows)
         # called on every block, also with no row: it checks k <= min(D, K)
         sigma = batch_top_k_singular_values(A[svd_rows], k)
         block[svd_rows] = np.log(sigma + DEFAULT_EPS).sum(axis=1)

@@ -3,9 +3,10 @@
 For a uniform latent prior over a box, the output density of a CPA
 generator is a sum over regions of det(A^T A)^((rho-1)/2) restricted to each
 region's image.  That gives each region one pre-image, so it holds only when
-every slope A has full rank K; the oracle refuses any other atlas.  At desk
-scale (K <= 3) the atlas is built by grid probing; the Monte-Carlo histogram
-here is the independent oracle the samplers are validated against.
+every slope A has full rank K (at ``polarity.RANK_RTOL``); the oracle refuses
+any other atlas.  log det(A^T A)^(1/2) is the pool's exact score of a region.
+At desk scale (K <= 3) the atlas is built by grid probing; the Monte-Carlo
+histogram here is the independent oracle the samplers are validated against.
 """
 
 import math
@@ -13,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cpa
+from . import cpa, polarity
 from .errors import InputError, ScaleError, StateError, is_finite, read_field
 
-# a slope whose smallest singular value is at most this times its largest has rank < K
-RANK_RTOL = 1e-10
 _OUT_OF_RANGE = "rho={}: a density weight or its normalizer leaves the float range"
 
 
@@ -132,19 +131,20 @@ def enumerate_regions(net, domain, resolution=64, seed=0):
     rep_z = np.concatenate([fine[first], probes])[source]
     prior_mass = np.concatenate([counts, np.zeros(len(probes), int)])[source] / len(fine)
 
+    # an output narrower than K leaves every slope below rank K
+    log_pdets = (polarity.region_log_volumes(net, rep_z, net.input_dim)[0]
+                 if net.output_dim >= net.input_dim else np.full(len(codes), -math.inf))
     regions = []
-    for code, z, mass in zip(codes, rep_z, prior_mass):
+    for code, z, mass, log_pdet in zip(codes, rep_z, prior_mass, log_pdets):
         # one latent per call: a batched call moves offsets by round-off
         A, b, _ = cpa.affine_maps(net, z)
-        sigma = np.linalg.svd(A[0], compute_uv=False)
-        full_rank = sigma.size == net.input_dim and sigma[-1] > RANK_RTOL * sigma[0]
         regions.append(
             AtlasRegion(
                 code=code,
                 rep_z=z,
                 slope=A[0],
                 offset=b[0],
-                log_pdet=float(np.sum(np.log(sigma))) if full_rank else -math.inf,
+                log_pdet=float(log_pdet),
                 prior_mass=float(mass),
                 pinv=np.linalg.pinv(A[0]),
             )
@@ -163,7 +163,7 @@ def normalization_constant(atlas, rho):
     """
     for i, r in enumerate(atlas.regions):
         if r.log_pdet == -math.inf:
-            rank = np.linalg.matrix_rank(r.slope, RANK_RTOL * np.linalg.norm(r.slope, 2))
+            rank = polarity.slope_rank(r.slope)
             bits = "".join(str(int(b)) for b in r.code)
             raise InputError(f"atlas region {i} (code [{bits}]) has rank {rank} < "
                              f"K={atlas.net.input_dim}: the exact density needs full rank")

@@ -1,13 +1,13 @@
 """Polarity sampling: reweight a generator's latent prior by Jacobian volume.
 
-Pool construction draws N latents, records each one's region log-volume
-(sum of log(sigma_i + eps) over the top-k singular values of the local
-slope matrix; at k = K, sum of log(|R_ii| + eps) over the slope's QR
-diagonal, within 1e-7 of it, with rows near rank deficiency, or where
-the eps may move the two forms apart, scored by SVD;
-slope and QR or SVD run once per distinct activation code in each scoring
-block, as a region's slope is constant), and the sampler then resamples
-those latents under softmax(rho * log-volume):
+Pool construction draws N latents and records each one's region
+log-volume, the exact ``sum log sigma_i`` over the top-k singular values of
+the local slope matrix (at k = K, ``sum log |R_ii|`` of the slope's QR where
+it certifies full rank; slope and QR or SVD run once per distinct activation
+code in each scoring block, as a region's slope is constant).  A slope
+whose sigma_k is at most ``RANK_RTOL`` times sigma_1 has rank < k and no
+finite score: ``build_pool`` refuses such a pool.  The sampler then
+resamples the latents under softmax(rho * log-volume):
 rho < 0 concentrates on the output-density modes (small Jacobian volume),
 rho > 0 on the anti-modes, rho = 0 reproduces the prior.
 
@@ -30,13 +30,10 @@ from .errors import (
 )
 from .spectral import batch_top_k_singular_values
 
-DEFAULT_EPS = 1e-12
-POOL_FORMAT_VERSION = 5
-# a k = K slope is scored by SVD, not by its QR diagonal, where its smallest
-# |R_ii| is at most _QR_FLAG times max(max |R_ii|, 1), or where the eps may
-# move the QR and SVD forms apart by more than _QR_GAP
-_QR_FLAG = 1e-4
-_QR_GAP = 5e-8
+POOL_FORMAT_VERSION = 6
+# a slope whose sigma_k is at most this times sigma_1 has rank < k, for the
+# pool and the atlas alike
+RANK_RTOL = 1e-10
 # pool header fields and their JSON types
 _POOL_HEADER = {"net_fingerprint": str, "domain": dict, "n": int, "k": int,
                 "seed": int, "regions": int, "latents_sha256": str}
@@ -188,10 +185,10 @@ def _latents_sha256(z):
 class SamplePool:
     """N candidate latents with precomputed region log-volumes, as columns.
 
-    ``regions`` counts the distinct activation codes among the latents
-    (a coverage diagnostic); the codes themselves are not kept.  A pool file
-    keeps the log-volumes but not the latents: they are
-    ``draw_latents(domain, n, seed)``, redrawn on load.
+    Each log-volume is exact and finite.  ``regions`` counts the distinct
+    activation codes among the latents (a coverage diagnostic); the codes
+    themselves are not kept.  A pool file keeps the log-volumes but not the
+    latents: they are ``draw_latents(domain, n, seed)``, redrawn on load.
     """
 
     z: np.ndarray              # (n, K) float64
@@ -201,7 +198,7 @@ class SamplePool:
     regions: int
     domain: LatentDomain
     net_fingerprint: str
-    eps = DEFAULT_EPS          # added to each singular value before its log
+    eps = 0.0                  # no score adds one; bench/workloads.py's FD check reads it
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
@@ -323,50 +320,30 @@ class SamplePool:
                               f"input_dim is {net.input_dim}")
 
 
-def _eps_gap_too_wide(A, h, d, rows):
-    """Which of the full-rank k = K slopes ``rows`` may score more than
-    ``_QR_GAP`` apart by QR and by SVD, given their raw QR ``h`` and its
-    ``|R_ii|`` ``d``.
-
-    Without the eps both forms are ``log |det R|``; the eps moves them apart
-    by at most ``eps * sum(1 / sigma_i)`` (or ``eps * sum(1 / |R_ii|)``),
-    both at most ``eps * sqrt(K) * ||R^-1||_F <= eps * K / sigma_min``.  R is
-    inverted only where ``sigma_min >= prod |R_ii| * ((K - 1) /
-    ||A||_F^2)^((K - 1) / 2)`` (AM-GM on the other K - 1 singular values)
-    does not already clear the slope.
-    """
-    K = d.shape[1]
-    with np.errstate(all="ignore"):   # log(0) on rows already flagged; huge slopes
-        log_floor = (np.log(d).sum(axis=1) - (K - 1) / 2
-                     * np.log(np.einsum("nij,nij->n", A, A) / max(K - 1, 1)))
-    unsure = np.flatnonzero(rows & ~(log_floor >= math.log(DEFAULT_EPS * K / _QR_GAP)))
-    wide = np.zeros(len(d), dtype=bool)
-    r_inv = np.linalg.inv(np.tril(h[unsure, :, :K]))
-    wide[unsure] = DEFAULT_EPS * math.sqrt(K) * np.linalg.norm(r_inv, axis=(1, 2)) > _QR_GAP
-    return wide
+def slope_rank(A):
+    """How many singular values of ``A`` exceed ``RANK_RTOL`` times its largest."""
+    return int(np.linalg.matrix_rank(A, RANK_RTOL * np.linalg.norm(A, 2)))
 
 
 def region_log_volumes(net, zs, k):
-    """Per-latent log-volumes ``sum log(sigma_i + eps)`` of the top-k
-    spectra, plus the activation codes of each block's distinct regions as
-    rows of ``np.packbits`` (ceil(num_units / 8) bytes; a code may recur in
-    another block), in row blocks whose slopes fit in ``cpa.BLOCK_BYTES``,
-    scored on every CPU by ``cpa.map_blocks``.
+    """Per-latent exact log-volumes ``sum log sigma_i`` of the top-k spectra,
+    -inf where ``sigma_k <= RANK_RTOL * sigma_1``, plus the activation codes
+    of each block's distinct regions as rows of ``np.packbits``
+    (ceil(num_units / 8) bytes; a code may recur in another block), in row
+    blocks whose slopes fit in ``cpa.BLOCK_BYTES``, on every CPU by
+    ``cpa.map_blocks``.
 
     A block's code pass (``cpa.region_codes``) finds its distinct codes;
     slopes and their QR or SVD run once per distinct code, and each latent
     takes the score of its code.  A slope depends on its code alone, and
     its QR and SVD run per matrix, so a score has the same bits whichever
-    latent stands for the region.  A pre-activation that overflows, or
-    that is NaN, raises FloatingPointError naming the model.
+    latent stands for the region, in whatever batch.  A pre-activation that
+    overflows, or that is NaN, raises FloatingPointError naming the model.
 
-    At k = K the product of all singular values is ``|det R|`` of the
-    slope's QR, so a row is scored ``sum log(|R_ii| + eps)``, within 1e-7 of
-    the singular-value form, unless its smallest ``|R_ii|`` is at most
-    ``_QR_FLAG * max(max |R_ii|, 1)`` (a rank deficiency may act) or
-    ``eps * sqrt(K) * ||R^-1||_F``, which bounds what the eps does to the two
-    forms (``1 / sigma_min <= ||R^-1||_F``), exceeds ``_QR_GAP``: such a row
-    is scored by SVD like every row at k < K.
+    At k = K the product of the singular values is ``|det R|`` of the
+    slope's QR, so a row is scored ``sum log |R_ii|`` where that certifies
+    full rank (AM-GM on the other K - 1 singular values, ``sigma_1 <=
+    ||A||_F``); every other row, like every row at k < K, by its SVD.
     """
     zs = np.atleast_2d(zs)
     widest = max([net.input_dim] + [layer.out_dim for layer in net.layers])
@@ -392,14 +369,19 @@ def region_log_volumes(net, zs, k):
         svd_rows = slice(None)
         # an output narrower than K leaves k above the rank: the SVD call refuses it
         if k == net.input_dim <= net.output_dim:
-            h = np.linalg.qr(A, mode="raw")[0]    # R transposed in its lower triangle
-            d = np.abs(np.diagonal(h, axis1=1, axis2=2))
-            block[:] = np.log(d + DEFAULT_EPS).sum(axis=1)
-            svd_rows = d.min(axis=1) <= _QR_FLAG * np.maximum(d.max(axis=1), 1.0)
-            svd_rows |= _eps_gap_too_wide(A, h, d, ~svd_rows)
+            d = np.abs(np.diagonal(np.linalg.qr(A, mode="raw")[0], axis1=1, axis2=2))
+            # a zero |R_ii| or a non-finite norm fails the certificate, which
+            # bounds sigma_K below by |det R| / (||A||_F^2 / (K - 1))^((K - 1) / 2)
+            with np.errstate(all="ignore"):
+                block[:] = np.log(d).sum(axis=1)
+                log_norm2 = np.log(np.einsum("nij,nij->n", A, A))
+                floor = block - (k - 1) / 2 * (log_norm2 - math.log(max(k - 1, 1)))
+                svd_rows = ~(floor > math.log(RANK_RTOL) + log_norm2 / 2)
         # called on every block, also with no row: it checks k <= min(D, K)
         sigma = batch_top_k_singular_values(A[svd_rows], k)
-        block[svd_rows] = np.log(sigma + DEFAULT_EPS).sum(axis=1)
+        with np.errstate(divide="ignore"):   # log 0 on a rank-deficient row
+            block[svd_rows] = np.where(sigma[:, -1] > RANK_RTOL * sigma[:, 0],
+                                       np.log(sigma).sum(axis=1), -np.inf)
         np.take(block, inverse, out=lvs[rows])   # lvs[rows] is a view: rows is a slice
         return codes[first]
 
@@ -409,7 +391,8 @@ def region_log_volumes(net, zs, k):
 
 def build_pool(net, domain, n, k, seed, feature_net=None):
     """Draw the n latents ``draw_latents(domain, n, seed)`` and score each
-    one's region.
+    one's region; a latent whose slope has rank < k has no finite score,
+    and its pool is refused.
 
     Deterministic given the seed; pool construction and later sampling use
     independent RNG streams, so the pool is reusable across sample sizes.
@@ -438,6 +421,14 @@ def build_pool(net, domain, n, k, seed, feature_net=None):
         )
     z = draw_latents(domain, n, seed)
     lvs, codes = region_log_volumes(eff, z, k)
+    deficient = np.flatnonzero(lvs == -np.inf)
+    if deficient.size:
+        i = deficient[0]
+        rank = slope_rank(cpa.affine_maps(eff, z[i:i + 1])[0][0])
+        raise InputError(f"{deficient.size} of {n} pool latents have a slope of rank < k={k} "
+                         f"(at RANK_RTOL={RANK_RTOL}), where the log-volume has no finite "
+                         f"value; latent {i} has rank {rank}, so "
+                         + (f"k may not exceed {rank}" if rank else "no k serves"))
     # distinct packed code rows among the blocks' distinct codes; a net
     # without nonlinear units has one region
     regions = len(set(codes.view(f"V{codes.shape[1]}")[:, 0].tolist())) if codes.size else 1

@@ -160,7 +160,7 @@ REPORT_GOLDEN = {
     "metrics_out": "b80d5a6136139ff65ff2d88341ea9769303d80a94ff92b52f5fbd72844650184",
     "metrics_stdout": "b80d5a6136139ff65ff2d88341ea9769303d80a94ff92b52f5fbd72844650184",
     "metrics_ties": "f7fc1f204440c5a25fc81c535ae31814565cc8e0c6eb783860e11c85bef3bb34",
-    "modes": "0da9bd74ded5f3883813751cadfc8a06758d2c2ad5f0e105dfbe2f2ba2b627e8",
+    "modes": "ae36066c901c2e66aa7c7e7de7af4cc9ef20365db92844e9e14df736f6ef6616",
     "pareto": "941143bc1359538e6203059e45c45f694f47452aec4a42f3a2343ee1b2e86e55",
     "ppl": "6008aa11cd3cae3d5862f5899747b9158815dec7434275ebf50290771b02ce84",
     "shift": "e15d53325287c3d3b2a8a6a0cdeaf7e8766d0427efc77745206fcf9dbf4f3480",
@@ -493,6 +493,8 @@ MALFORMED_POOLS = {
     "v4_file": lambda doc, z, lvs: _file(
         {**{k: v for k, v in doc.items() if k != "latents_sha256"}, "version": 4},
         []) + np.asarray(z, "<f8").tobytes() + _column(lvs),
+    # a version 5 file: today's layout, with scores that added an eps of 1e-12
+    "v5_file": _set("version", 5),
     "missing_k": _drop("k"),
     "no_latents_digest": _drop("latents_sha256"),
     "missing_column": lambda doc, z, lvs: _file(doc, []),
@@ -532,7 +534,7 @@ MALFORMED_POOLS = {
 
 # text the error names, for the cases that must fail for one reason
 MALFORMED_POOL_TEXT = {
-    **dict.fromkeys(("v1_file", "v2_file", "v3_file", "v4_file"),
+    **dict.fromkeys(("v1_file", "v2_file", "v3_file", "v4_file", "v5_file"),
                     "rebuild it with `polsamp pool build`"),
     **dict.fromkeys(("latents_digest_mismatch", "seed_edited", "domain_edited",
                      "latent_dim_disagrees"),
@@ -710,6 +712,24 @@ def test_density_eval_refuses_a_region_below_full_rank(name, tmp_path):
         assert rc == 2 and err.startswith("error: ") and names in err, err
         assert err.count("\n") == 1, err
     assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["pool build", "pareto", "ablate", "modes", "shift",
+                                     "ppl"])
+def test_pool_build_and_every_sweep_refuse_slopes_below_rank_k(command, tmp_path):
+    # halfspace's off side has slope 0: rank 0, so no k has a finite log-volume there
+    model, cfg, out = tmp_path / "m.json", tmp_path / "c.json", tmp_path / "out"
+    save_model(zoo.halfspace_net(), model)
+    biased, uniform = zoo.shift_references(50, 3)
+    ExperimentConfig(model_path=str(model), seed=0, rho_grid=[-1.0], n=100, k=1,
+                     n_grid=[100], k_grid=[1], reference=biased.to_dict(),
+                     reference_biased=biased.to_dict(), reference_uniform=uniform.to_dict(),
+                     domain={"kind": "uniform_box", "lo": [-1.0, -1.0],
+                             "hi": [1.0, 1.0]}).to_json(cfg)
+    rc, err = _quiet_main([*command.split(), "--config", str(cfg), "--out", str(out)])
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "of 100 pool latents have a slope of rank < k=1" in err and "no k serves" in err
+    assert not out.exists()
 
 
 def _config_edit(**fields):

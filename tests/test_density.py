@@ -380,11 +380,31 @@ def test_region_log_pdet_matches_gram_determinant(make_net, make_domain):
         expected.append(0.5 * np.log(np.linalg.det(A.T @ A)))
         np.testing.assert_allclose(region.log_pdet, expected[-1], rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(atlas.log_pseudo_dets(), expected, rtol=1e-12, atol=1e-15)
-    # the pool scores a region by sum log(sigma_i + 1e-12), the atlas by sum
-    # log sigma_i: the eps stays on the pool side, within 1e-9 of the atlas
+    # the atlas takes each region's score from the pool's scorer
     pool_side, _ = region_log_volumes(atlas.net, np.array([r.rep_z for r in atlas.regions]),
                                       atlas.net.input_dim)
-    np.testing.assert_allclose(pool_side, atlas.log_pseudo_dets(), rtol=0, atol=1e-9)
+    assert pool_side.tobytes() == atlas.log_pseudo_dets().tobytes()
+
+
+def test_pool_and_atlas_score_every_density_law_region_alike():
+    # the bench's density_law net: seed 5, widths 4/4/2, all leaky, bias scale 0.3
+    rng = np.random.default_rng(5)
+    layers, d_in = [], 2
+    for width in (4, 4, 2):
+        layers.append(Layer(rng.standard_normal((width, d_in)) / np.sqrt(d_in),
+                            0.3 * rng.standard_normal(width), "leaky_relu", alpha=0.2))
+        d_in = width
+    net = CpaNetwork("density_law", tuple(layers))
+    box = LatentDomain("uniform_box", lo=[-1.0, -1.0], hi=[1.0, 1.0])
+    atlas = enumerate_regions(net, box, 64)
+    pool = build_pool(net, box, 20_000, 2, seed=0)
+    codes = np.array([r.code for r in atlas.regions])
+    found, region = np.unique(np.concatenate([codes, region_codes(net, pool.z)]),
+                              axis=0, return_inverse=True)
+    # every pool latent lies in an atlas region, and every region holds one
+    R = len(atlas.regions)
+    assert len(found) == R == 18 and len(np.unique(region[R:])) == R
+    assert pool.log_volumes.tobytes() == atlas.log_pseudo_dets()[region[R:]].tobytes()
 
 
 def _edge_arrays(rng, kind, m):

@@ -55,7 +55,11 @@ def test_pool_k_above_structural_rank():
     domain = LatentDomain("gaussian", mean=np.zeros(8), std=np.ones(8))
     with pytest.raises(InputError, match="width of layer 0"):
         build_pool(net, domain, 10, 4, seed=0)
-    assert build_pool(net, domain, 10, 3, seed=0).n == 10
+    # inactive units leave 8 of the 10 slopes below rank 3, so k = 3 has no law
+    with pytest.raises(InputError, match=r"^8 of 10 pool latents have a slope of rank "
+                       r"< k=3 .*; latent 0 has rank 2, so k may not exceed 2$"):
+        build_pool(net, domain, 10, 3, seed=0)
+    assert build_pool(net, domain, 10, 1, seed=0).n == 10
 
 
 def _feature_net(slope):
@@ -246,13 +250,25 @@ def test_pool_columns_do_not_depend_on_block_budget(net_seed, n, kind, data):
     domain = _domains(net.input_dim)[kind]
     widths = [net.input_dim] + [layer.out_dim for layer in net.layers]
     k = data.draw(st.integers(1, min(widths)))
+
+    def build():
+        # the pool, or the refusal of a slope below rank k
+        try:
+            return build_pool(net, domain, n, k, seed=7)
+        except InputError as exc:
+            return str(exc)
+
     with _workers(1):
-        expected = build_pool(net, domain, n, k, seed=7)
+        expected = build()
     # one row per block, then three, then the default; on one and two threads
     for budget in (1, 3 * 8 * net.input_dim * max(widths), cpa.BLOCK_BYTES):
         for workers in (1, 2):
             with mock.patch.object(cpa, "BLOCK_BYTES", budget), _workers(workers):
-                got = build_pool(net, domain, n, k, seed=7)
+                got = build()
+            assert type(got) is type(expected)
+            if isinstance(expected, str):
+                assert got == expected
+                continue
             for column in ("z", "log_volumes"):
                 assert getattr(got, column).tobytes() == getattr(expected, column).tobytes()
             assert got.regions == expected.regions
@@ -268,9 +284,32 @@ def test_non_finite_latent_in_the_last_block_raises_input_error(workers):
             region_log_volumes(net, z, 2)
 
 
+def _qr_log_dets(A):
+    """``log |det R|`` of each k = K slope's QR, and whether it certifies
+    full rank at ``RANK_RTOL``: sigma_K is at least ``|det A|`` over the
+    AM-GM bound ``(||A||_F / sqrt(K - 1))^(K - 1)`` on the other singular
+    values, and sigma_1 is at most ``||A||_F``."""
+    K = A.shape[2]
+    d = np.abs(np.diagonal(np.linalg.qr(A, mode="raw")[0], axis1=1, axis2=2))
+    norm = np.linalg.norm(A, axis=(1, 2))
+    with np.errstate(all="ignore"):
+        log_det = np.log(d).sum(axis=1)
+        floor = log_det - (K - 1) * np.log(norm / np.sqrt(max(K - 1, 1)))
+        return log_det, floor > np.log(polarity.RANK_RTOL * norm)
+
+
+def _svd_log_volumes(A, k):
+    """``sum log sigma_i`` of each slope's top k, -inf where sigma_k is at
+    most ``RANK_RTOL`` times sigma_1."""
+    sigma = np.linalg.svd(A, compute_uv=False)[:, :k]
+    with np.errstate(divide="ignore"):
+        return np.where(sigma[:, -1] > polarity.RANK_RTOL * sigma[:, 0],
+                        np.log(sigma).sum(axis=1), -np.inf)
+
+
 # seeds 7, 43 and 46: every slope rank-deficient at 2,000 gaussian latents;
 # seeds 22804 and 461085: a full-rank slope whose sigma_min lies far below its
-# smallest |R_ii|, where the eps moves the QR form off the SVD form
+# smallest |R_ii|
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-3]))
 @example(7, 1.0)
@@ -283,18 +322,25 @@ def test_log_volumes_match_the_singular_value_oracle(seed, scale):
     net = CpaNetwork(base.name, tuple(
         Layer(layer.weight * scale, layer.bias * scale, layer.activation, alpha=layer.alpha)
         for layer in base.layers))
-    K = net.input_dim
+    D, K = net.output_dim, net.input_dim
     z = np.random.default_rng(seed).standard_normal((400, K))
     A, _, _ = cpa.affine_maps(net, z)
     sigma = np.linalg.svd(A, compute_uv=False)
-    d = np.abs(np.diagonal(np.linalg.qr(A, mode="raw")[0], axis1=1, axis2=2))
-    flagged = d.min(axis=1) <= polarity._QR_FLAG * np.maximum(d.max(axis=1), 1.0)
+    log_det, certified = _qr_log_dets(A)
     for k in {1, min([K] + [layer.out_dim for layer in net.layers])}:
-        oracle = np.log(sigma[:, :k] + polarity.DEFAULT_EPS).sum(axis=1)
         lvs, _ = region_log_volumes(net, z, k)
-        assert np.abs(lvs - oracle).max() <= 1e-7
-        exact = flagged if k == K else np.ones(len(z), dtype=bool)
-        assert lvs[exact].tobytes() == oracle[exact].tobytes()
+        oracle = _svd_log_volumes(A, k)
+        qr = certified & (k == K <= D)
+        assert lvs[qr].tobytes() == log_det[qr].tobytes()
+        assert lvs[~qr].tobytes() == oracle[~qr].tobytes()
+        # a certified slope has full rank by the SVD's rule too; the two forms
+        # of log |det A| then differ by the QR's backward error, O(eps) in A
+        # relative to ||A||, which moves each log sigma_i by up to kappa * eps,
+        # plus the rounding of the K logs and their sum
+        kappa = sigma[qr, 0] / sigma[qr, -1]
+        logs = np.abs(np.log(sigma[qr])).sum(axis=1)
+        tol = (D * K * kappa + K * logs) * np.finfo(float).eps
+        assert np.all(np.abs(log_det[qr] - oracle[qr]) <= tol)
 
 
 def test_log_volumes_refuse_k_above_the_slope_rank():
@@ -305,24 +351,26 @@ def test_log_volumes_refuse_k_above_the_slope_rank():
 
 def _per_row_log_volumes(net, z, k):
     """The oracle of region_log_volumes, one latent at a time: its own
-    ``affine_maps`` slope, scored by its QR diagonal at k = K unless flagged,
-    else by its SVD."""
+    ``affine_maps`` slope, scored at k = K by its QR diagonal where that
+    certifies full rank, else by its SVD."""
     out = np.empty(len(z))
     for i, row in enumerate(z):
         A = cpa.affine_maps(net, row[None])[0]
-        if k == net.input_dim:
-            d = np.abs(np.diagonal(np.linalg.qr(A, mode="raw")[0], axis1=1, axis2=2))
-            if d.min() > polarity._QR_FLAG * max(d.max(), 1.0):
-                out[i] = np.log(d + polarity.DEFAULT_EPS).sum(axis=1)[0]
+        if k == net.input_dim <= net.output_dim:
+            log_det, certified = _qr_log_dets(A)
+            if certified[0]:
+                out[i] = log_det[0]
                 continue
-        sigma = np.linalg.svd(A, compute_uv=False)[:, :k]
-        out[i] = np.log(sigma + polarity.DEFAULT_EPS).sum(axis=1)[0]
+        out[i] = _svd_log_volumes(A, k)[0]
     return out
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 32]), st.booleans(),
        st.sampled_from([1, 200, cpa.BLOCK_BYTES]), st.sampled_from([1, 2]))
+# row 57's sigma_min is 2.3e-5: an oracle that routed rows otherwise than the
+# pool once scored it 3.7e-8 apart
+@example(seed=200000, max_width=32, linear=False, budget=1, workers=1)
 def test_region_scores_equal_the_per_row_oracle_bit_for_bit(seed, max_width, linear,
                                                             budget, workers):
     # narrow nets repeat regions, and the latents repeat rows, so most blocks
@@ -492,13 +540,14 @@ def test_pool_file_holds_only_what_sampling_reads(tmp_path):
     doc = json.loads(header)
     assert list(doc) == ["version", "net_fingerprint", "domain", "n", "k", "seed",
                          "regions", "latents_sha256"]
-    assert doc["version"] == polarity.POOL_FORMAT_VERSION == 5
+    assert doc["version"] == polarity.POOL_FORMAT_VERSION == 6
     # the raw little-endian log-volumes; the latents are the header's draw
     assert newline and len(payload) == 8 * pool.n
     assert payload == pool.log_volumes.astype("<f8").tobytes()
     assert doc["latents_sha256"] == hashlib.sha256(pool.z.astype("<f8").tobytes()).hexdigest()
     assert np.array_equal(pool.z, draw_latents(pool.domain, pool.n, pool.seed))
-    assert SamplePool.eps == pool.eps == polarity.DEFAULT_EPS
+    # scores are exact: no eps is added to a singular value
+    assert SamplePool.eps == pool.eps == 0.0
 
 
 # (net, domain, feature net) of each kind of pool a file round-trips

@@ -126,7 +126,7 @@ def _write_points(path, pts):
     keys = pts.view(np.dtype((np.void, pts.strides[0]))).reshape(-1)
     _, first, order = np.unique(keys, return_index=True, return_inverse=True)
     harness.write_csv(path, [f"x{d}" for d in range(pts.shape[1])],
-                      pts[first].tolist(), order.tolist())
+                      pts[first].tolist(), order)
 
 
 def _cmd_pool_build(args):

@@ -234,13 +234,21 @@ def _apply_activation(layer, pre):
     NaN to 0 as that does, and keeps the sign of some -0.0 entries, which
     adding +0.0 clears.  Leaky, 0 < alpha < 1: rounding is monotone, so
     ``alpha * pre`` lies between 0 and ``pre`` and the larger of the two is
-    the leaky value, ±0.0 and subnormals included.
+    the leaky value, ±0.0 and subnormals included.  ``alpha * pre`` is formed
+    a row block at a time in one scratch buffer of at most ``BLOCK_BYTES``
+    (or one row), so no temporary the size of ``pre`` is made.
     """
     if layer.activation == "relu":
         np.fmax(pre, 0.0, out=pre)
         pre += 0.0
     elif layer.activation == "leaky_relu":
-        np.maximum(pre, layer.alpha * pre, out=pre)
+        scratch = None
+        for rows in row_blocks(len(pre), max(pre[:1].nbytes, 1)):
+            block = pre[rows]
+            if scratch is None:   # the first block is the largest
+                scratch = np.empty_like(block)
+            slope = np.multiply(block, layer.alpha, out=scratch[:len(block)])
+            np.maximum(block, slope, out=block)
     return pre
 
 
@@ -350,8 +358,8 @@ def to_dict(net):
     out = {"name": net.name, "input_dim": net.input_dim, "layers": []}
     for layer in net.layers:
         d = {
-            "weight": [[float(v) for v in row] for row in layer.weight],
-            "bias": [float(v) for v in layer.bias],
+            "weight": layer.weight.tolist(),
+            "bias": layer.bias.tolist(),
             "activation": layer.activation,
         }
         if layer.activation == "leaky_relu":

@@ -116,13 +116,19 @@ class ExperimentConfig:
 def write_csv(path, header, rows, order=None):
     """CSV of rows of Python floats and ints, as ``tolist()`` gives them, with
     ``csv.writer``'s bytes: fields by ``repr`` (which round-trips a float, and
-    is ``str`` for an int) and "\r\n" line ends.  Given ``order``, a list of
-    indices into ``rows``, line i holds ``rows[order[i]]``, so a row that
-    recurs is formatted once.  Identical runs give identical bytes."""
+    is ``str`` for an int) and "\r\n" line ends.  Given ``order``, an integer
+    array of indices into ``rows``, line i holds ``rows[order[i]]``, so a row
+    that recurs is formatted once; the lines are written a row block of
+    ``order`` at a time.  Identical runs give identical bytes."""
     lines = [",".join(map(repr, row)) + "\r\n" for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(lines if order is None else map(lines.__getitem__, order))
+        if order is None:
+            fh.writelines(lines)
+            return
+        lines = np.array(lines, dtype=object)
+        for block in cpa.row_blocks(len(order), 8):
+            fh.writelines(lines[order[block]])
 
 
 def _load(config):
@@ -135,8 +141,30 @@ def _pool_for(config, net, feature_net, domain, seed):
 
 
 def _generate(config, net, pool, rho, seed):
+    """One grid point's drawn outputs, as a SampleSet."""
     zs = sample_batch(PolaritySampler(pool, rho), config.s, seed)
-    return cpa.forward(net, zs)
+    return SampleSet(cpa.forward(net, zs))
+
+
+def _scores(config, net, pool, rho, seed, reference):
+    """(precision, recall, Fréchet distance) of one grid point's draws; the
+    draws and their manifold are freed on return, before the next draw."""
+    fake = _generate(config, net, pool, rho, seed)
+    prec, rec = precision_recall(reference, fake, config.k_nn)
+    return float(prec), float(rec), float(frechet_distance(reference, fake))
+
+
+def _pareto_rows(config, net, feature_net, domain, reference, i_psi, psi):
+    """The rows of one psi; its pool is freed on return, before the next
+    psi's pool is built."""
+    pool = _pool_for(config, net, feature_net, domain,
+                     child_seed(config.seed, "pool", i_psi))
+    draw_seed = child_seed(config.seed, "sample", i_psi)
+    rows = []
+    for rho in config.rho_grid:
+        prec, rec, fd = _scores(config, net, pool, rho, draw_seed, reference)
+        rows.append((float(rho), float(psi), prec, rec, fd, config.seed))
+    return rows
 
 
 def run_pareto(config):
@@ -149,16 +177,18 @@ def run_pareto(config):
     rows = []
     for i_psi, psi in enumerate(config.psi_grid):
         domain = base_domain if psi == 1.0 else base_domain.truncate(psi)
-        pool = _pool_for(config, net, feature_net, domain,
-                         child_seed(config.seed, "pool", i_psi))
-        draw_seed = child_seed(config.seed, "sample", i_psi)
-        for rho in config.rho_grid:
-            fake = SampleSet(_generate(config, net, pool, rho, draw_seed))
-            prec, rec = precision_recall(reference, fake, config.k_nn)
-            fd = frechet_distance(reference, fake)
-            rows.append((float(rho), float(psi), float(prec), float(rec),
-                         float(fd), config.seed))
+        rows += _pareto_rows(config, net, feature_net, domain, reference, i_psi, psi)
     return ["rho", "psi", "precision", "recall", "frechet", "seed"], rows
+
+
+def _ablation_row(config, net, feature_net, domain, reference, rho, i_n, n, i_k, k):
+    """The row of one (n, k); its pool is freed on return."""
+    pool = build_pool(net, domain, int(n), int(k),
+                      child_seed(config.seed, "ablate_pool", i_n, i_k),
+                      feature_net=feature_net)
+    prec, rec, fd = _scores(config, net, pool, rho,
+                            child_seed(config.seed, "ablate_sample", i_n, i_k), reference)
+    return int(n), int(k), fd, prec, rec, config.seed
 
 
 def run_ablation(config):
@@ -168,19 +198,9 @@ def run_ablation(config):
     net, feature_net, domain = _load(config)
     reference = SampleSet(config.load_reference())
     rho = config.rho_grid[0]
-    rows = []
-    for i_n, n in enumerate(config.n_grid):
-        for i_k, k in enumerate(config.k_grid):
-            pool = build_pool(net, domain, int(n), int(k),
-                              child_seed(config.seed, "ablate_pool", i_n, i_k),
-                              feature_net=feature_net)
-            fake = SampleSet(
-                _generate(config, net, pool, rho,
-                          child_seed(config.seed, "ablate_sample", i_n, i_k)))
-            prec, rec = precision_recall(reference, fake, config.k_nn)
-            fd = frechet_distance(reference, fake)
-            rows.append((int(n), int(k), float(fd), float(prec), float(rec),
-                         config.seed))
+    rows = [_ablation_row(config, net, feature_net, domain, reference, rho, i_n, n, i_k, k)
+            for i_n, n in enumerate(config.n_grid)
+            for i_k, k in enumerate(config.k_grid)]
     return ["n", "k", "frechet", "precision", "recall", "seed"], rows
 
 
@@ -212,6 +232,13 @@ def run_modes(config, rho_extreme=None):
     return report
 
 
+def _shift_distances(config, net, pool, rho, seed, biased, uniform):
+    """Fréchet distances of one rho's draws to both references; the draws
+    are freed on return, before the next draw."""
+    fake = _generate(config, net, pool, rho, seed)
+    return float(frechet_distance(biased, fake)), float(frechet_distance(uniform, fake))
+
+
 def run_shift(config):
     """Fréchet distance to a biased and an unbiased reference across rho."""
     net, feature_net, domain = _load(config)
@@ -222,12 +249,20 @@ def run_shift(config):
     pool = _pool_for(config, net, feature_net, domain,
                      child_seed(config.seed, "pool", 0))
     draw_seed = child_seed(config.seed, "sample", 0)
-    rows = []
-    for rho in config.rho_grid:
-        fake = SampleSet(_generate(config, net, pool, rho, draw_seed))
-        rows.append((float(rho), float(frechet_distance(biased, fake)),
-                     float(frechet_distance(uniform, fake)), config.seed))
+    rows = [(float(rho), *_shift_distances(config, net, pool, rho, draw_seed,
+                                           biased, uniform), config.seed)
+            for rho in config.rho_grid]
     return ["rho", "frechet_biased", "frechet_uniform", "seed"], rows
+
+
+def _ppl_row(config, net, feature_net, pool, i_rho, rho):
+    """The row of one rho; its path-length scores are freed on return."""
+    scores = path_length(
+        net, PolaritySampler(pool, rho), config.epsilon, config.n_pairs,
+        child_seed(config.seed, "ppl", i_rho), feature_net=feature_net,
+    )
+    return (float(rho), float(scores.mean()),
+            *(float(np.quantile(scores, q)) for q in (0.1, 0.5, 0.9)), config.seed)
 
 
 def run_ppl(config):
@@ -235,13 +270,6 @@ def run_ppl(config):
     net, feature_net, domain = _load(config)
     pool = _pool_for(config, net, feature_net, domain,
                      child_seed(config.seed, "pool", 0))
-    rows = []
-    for i_rho, rho in enumerate(config.rho_grid):
-        scores = path_length(
-            net, PolaritySampler(pool, rho), config.epsilon, config.n_pairs,
-            child_seed(config.seed, "ppl", i_rho), feature_net=feature_net,
-        )
-        rows.append((float(rho), float(scores.mean()),
-                     *(float(np.quantile(scores, q)) for q in (0.1, 0.5, 0.9)),
-                     config.seed))
+    rows = [_ppl_row(config, net, feature_net, pool, i_rho, rho)
+            for i_rho, rho in enumerate(config.rho_grid)]
     return ["rho", "mean_ppl", "q10", "q50", "q90", "seed"], rows

@@ -65,7 +65,8 @@ class _Gram:
         self.slack = np.where(
             r_sq < _SAFE, 4 * (a.shape[1] + 4) * _EPS * r_sq + _TINY, np.inf
         )
-        self._x = -2.0 * x   # the GEMM then yields -2 x.y; scaling by 2 is exact
+        x *= -2.0            # the GEMM then yields -2 x.y; scaling by 2 is exact
+        self._x = x
         self._y = y
         self._y_sq = y_sq
         self._x_sq_lo = x_sq - self.slack
@@ -225,8 +226,10 @@ def precision_recall(real, fake, k_nn=3):
     def block(rows):
         """The fake and the real points covered by a pair in this block."""
         lo = gram.lower(rows)
-        keep = ~(lo > np.maximum.outer(fake_level[rows], real_level))
-        i, j = np.divmod(np.flatnonzero(keep), real_support.shape[0])
+        # pruned: proved outside both balls (a NaN level or bound prunes nothing)
+        far = lo > fake_level[rows, None]
+        far &= lo > real_level
+        i, j = np.divmod(np.flatnonzero(~far), real_support.shape[0])
         i += rows.start
         d = _pair_distances(fake_support[i], real_support[j])
         return i[d <= real_radii[j]], j[d <= fake_radii[i]]

@@ -1,6 +1,6 @@
 """Synthetic reference datasets for desk-scale experiments."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,16 +26,19 @@ class SyntheticDataset:
     params: dict
     size: int
     seed: int
+    # the checked (weights, means, covariance matrices) of ``params``
+    _mixture: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind != "gaussian_mixture":
             raise ConfigError(f"unknown synthetic dataset kind {self.kind!r}")
         read_field(self.seed, int, "dataset field 'seed'", ConfigError, 0)
+        object.__setattr__(self, "_mixture", self._check_mixture())
         # a row of the sample and its component
-        dim = self._mixture()[1].shape[1]
+        dim = self._mixture[1].shape[1]
         read_field(self.size, int, "dataset field 'size'", ConfigError, 1, 8 * (dim + 1))
 
-    def _mixture(self):
+    def _check_mixture(self):
         """(weights, means, covariance matrices) of the spec."""
         params = read_field(self.params, dict, "dataset field 'params'", ConfigError)
         for key in ("weights", "means", "covs"):
@@ -70,7 +73,7 @@ class SyntheticDataset:
         return w, means, mats
 
     def sample(self):
-        weights, means, covs = self._mixture()
+        weights, means, covs = self._mixture
         rng = np.random.default_rng(self.seed)
         comp = rng.choice(len(weights), size=self.size, p=weights)
         out = np.empty((self.size, means.shape[1]))

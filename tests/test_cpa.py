@@ -1,9 +1,11 @@
 import contextlib
+import hashlib
 import json
 import multiprocessing
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -225,6 +227,30 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(forward(loaded, zs), forward(net, zs))
 
 
+def test_model_bytes_are_those_of_per_entry_floats(tmp_path):
+    # the model document as float() of each entry gives it: save_model and
+    # fingerprint keep their bytes whatever converts the arrays
+    odd = CpaNetwork("odd", (Layer(np.array([[-0.0, 5e-324], [1e300, -1e-310]]),
+                                   np.array([0.1, -0.0]), "leaky_relu", 0.2),))
+    nets = [zoo.two_piece_net(), zoo.ramp_2d_net(), zoo.halfspace_net(), zoo.abs_net(),
+            zoo.bimodal_generator(), zoo.shift_generator(), odd,
+            *(zoo.random_net(seed) for seed in range(8))]
+    path = tmp_path / "net.json"
+    for net in nets:
+        layers = []
+        for layer in net.layers:
+            d = {"weight": [[float(v) for v in row] for row in layer.weight],
+                 "bias": [float(v) for v in layer.bias], "activation": layer.activation}
+            if layer.activation == "leaky_relu":
+                d["alpha"] = float(layer.alpha)
+            layers.append(d)
+        doc = {"name": net.name, "input_dim": net.input_dim, "layers": layers}
+        save_model(net, path)
+        assert path.read_text() == json.dumps(doc, indent=1) + "\n"
+        blob = json.dumps(doc, sort_keys=True).encode()
+        assert fingerprint(net) == hashlib.sha256(blob).hexdigest()
+
+
 def test_load_row_length_mismatch_names_layer(tmp_path):
     doc = {
         "name": "bad", "input_dim": 2,
@@ -315,11 +341,41 @@ _TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 2.2250738585072014e-308]
 def test_in_place_activation_matches_where_form_bit_for_bit(activation, alpha):
     # a run of -0.0: fmax keeps the sign of some zeros and drops it from others,
     # by their position in its vector loop
-    pre = np.array(_TINY + [-1e-310, -1.5, 2.0, np.inf, -np.inf, np.nan] + [-0.0] * 33)
-    slope = 0.0 if activation == "relu" else alpha * pre
-    expected = np.where(pre > 0.0, pre, slope)
+    special = np.array(_TINY + [-1e-310, -1.5, 2.0, np.inf, -np.inf, np.nan] + [-0.0] * 33)
+    # leaky layers are activated a row block at a time: a (rows, 5) array over
+    # three block edges, the first entry past each edge a subnormal, inf, and
+    # one in the -0.0 run
+    step = cpa.BLOCK_BYTES // (8 * 5)
+    tall = np.random.default_rng(0).standard_normal((3 * step + 10, 5))
+    for edge, first in zip((step, 2 * step, 3 * step), (4, 10, 29)):
+        tall[edge - 10:edge + 10] = np.resize(np.roll(special, 50 - first), (20, 5))
     layer = Layer(np.eye(1), np.zeros(1), activation, alpha)
-    assert cpa._apply_activation(layer, pre.copy()).tobytes() == expected.tobytes()
+    for pre in (special, tall):
+        slope = 0.0 if activation == "relu" else alpha * pre
+        expected = np.where(pre > 0.0, pre, slope)
+        assert cpa._apply_activation(layer, pre.copy()).tobytes() == expected.tobytes()
+
+
+def test_forward_holds_one_block_beyond_the_widest_leaky_layer():
+    # a leaky layer of 4 x BLOCK_BYTES: its alpha * pre is formed in one block
+    rng = np.random.default_rng(0)
+    net = CpaNetwork("wide", (
+        Layer(rng.standard_normal((512, 4)), rng.standard_normal(512), "leaky_relu", 0.2),
+        Layer(rng.standard_normal((4, 512)), np.zeros(4)),
+    ))
+    z = rng.standard_normal((4 * cpa.BLOCK_BYTES // (8 * 512), 4))
+    expected = _where_walk(net, z)[0]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = forward(net, z)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == expected.tobytes()
+    # the leaky layer's pre-activation and the output are what it must hold
+    assert peak <= 8 * len(z) * 512 + out.nbytes + cpa.BLOCK_BYTES
 
 
 @settings(max_examples=60, deadline=None)

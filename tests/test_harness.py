@@ -1,15 +1,18 @@
 import csv
 import hashlib
 import json
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from polarity_sampling import (
-    ConfigError, ExperimentConfig, child_seed, run_ablation, run_modes,
-    run_pareto, run_ppl, run_shift, save_model, write_csv,
+    ConfigError, ExperimentConfig, build_pool, child_seed, frechet_distance,
+    run_ablation, run_modes, run_pareto, run_ppl, run_shift, sample_batch,
+    save_model, write_csv,
 )
-from polarity_sampling import zoo
+from polarity_sampling import cpa, harness, zoo
 from polarity_sampling.synth import SyntheticDataset
 
 
@@ -100,6 +103,40 @@ def test_pareto_missing_reference(bimodal_config):
     bimodal_config.reference = None
     with pytest.raises(ConfigError):
         run_pareto(bimodal_config)
+
+
+def test_sweeps_hold_one_grid_point_at_a_time(bimodal_config, shift_config, monkeypatch):
+    # each pool is gone before the next is built, and each grid point's draws
+    # (with their k-NN manifold) before the next draw
+    pools, fakes = [], []
+
+    def build(*args, **kwargs):
+        assert all(ref() is None for ref in pools)
+        pool = build_pool(*args, **kwargs)
+        pools.append(weakref.ref(pool))
+        return pool
+
+    def draw(*args):
+        assert all(ref() is None for ref in fakes)
+        return sample_batch(*args)
+
+    def frechet(real, fake):
+        fakes.append(weakref.ref(fake))
+        return frechet_distance(real, fake)
+
+    monkeypatch.setattr(harness, "build_pool", build)
+    monkeypatch.setattr(harness, "sample_batch", draw)
+    monkeypatch.setattr(harness, "frechet_distance", frechet)
+    bimodal_config.s = bimodal_config.n = 200
+    bimodal_config.psi_grid = [1.0, 0.7]
+    bimodal_config.n_grid, bimodal_config.k_grid = [100, 200], [1, 1]
+    shift_config.s = shift_config.n = 200
+    run_pareto(bimodal_config)
+    run_ablation(bimodal_config)
+    run_shift(shift_config)
+    run_ppl(bimodal_config)
+    assert len(pools) == 2 + 4 + 1 + 1
+    assert len(fakes) == 2 * 3 + 4 + 2 * 5
 
 
 def test_ablation_stabilizes_on_two_region_net(tmp_path):
@@ -236,6 +273,15 @@ def test_ppl_linear_constant(linear_config):
     assert np.ptp(means) <= 0.2 * np.mean(means)
 
 
+def test_reference_checks_its_mixture_once():
+    spec = zoo.bimodal_reference(500, 5)
+    with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("checked again")):
+        drawn = spec.sample()
+    # the checked arrays are not compared
+    assert spec == SyntheticDataset.from_dict(spec.to_dict())
+    assert drawn.tobytes() == SyntheticDataset.from_dict(spec.to_dict()).sample().tobytes()
+
+
 def test_write_csv_byte_stable(tmp_path):
     rows = [(1.0, 2.5e-7, 3), (0.1, float(np.pi), 4)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -261,3 +307,12 @@ def test_write_csv_matches_csv_writer_bytes(tmp_path):
     write_csv(out, header, rows)
     digest = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, reference)]
     assert digest[0] == digest[1]
+    # rows by an index array over more than one row block of it
+    order = rng.integers(len(rows), size=2 * (cpa.BLOCK_BYTES // 8) + 3)
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in order.tolist():
+            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in rows[i]])
+    write_csv(out, header, rows, order)
+    assert out.read_bytes() == reference.read_bytes()

@@ -118,17 +118,6 @@ def _read_points(path):
     return pts
 
 
-def _write_points(path, pts):
-    """The bytes of ``harness.write_csv(path, header, pts.tolist())``, with
-    each distinct row formatted once: polarity draws repeat pool rows.  Rows
-    are told apart by their bytes, so -0.0 and 0.0 stay distinct."""
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    keys = pts.view(np.dtype((np.void, pts.strides[0]))).reshape(-1)
-    _, first, order = np.unique(keys, return_index=True, return_inverse=True)
-    harness.write_csv(path, [f"x{d}" for d in range(pts.shape[1])],
-                      pts[first].tolist(), order)
-
-
 def _cmd_pool_build(args):
     config = _load_config(args)
     pool = build_pool(config.load_net(), config.load_domain(), config.n, config.k,
@@ -143,7 +132,7 @@ def _cmd_sample(args):
     pool.check_fingerprint(net)
     seed = args.seed if args.seed is not None else pool.seed + 1
     zs = sample_batch(PolaritySampler(pool, args.rho), args.s, seed)
-    _write_points(args.out, zs)
+    harness.write_csv(args.out, [f"x{d}" for d in range(zs.shape[1])], zs)
     print(f"{args.s} draws at rho={args.rho} -> {args.out}")
 
 
@@ -155,10 +144,9 @@ def _cmd_density_eval(args):
     )
     pts = _read_points(args.points)
     dens = density.analytic_density(atlas, pts, args.rho)
-    rows = np.column_stack((pts, dens)).tolist()
     header = [f"x{d}" for d in range(pts.shape[1])] + ["density"]
-    harness.write_csv(args.out, header, rows)
-    print(f"density at {len(rows)} points (rho={args.rho}) -> {args.out}")
+    harness.write_csv(args.out, header, np.column_stack((pts, dens)))
+    print(f"density at {len(pts)} points (rho={args.rho}) -> {args.out}")
 
 
 def _cmd_sweep(args, runner):

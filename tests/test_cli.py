@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import polarity_sampling
 from polarity_sampling import (
-    CpaNetwork, ExperimentConfig, LatentDomain, Layer, SamplePool, compose, draw_latents,
-    fingerprint, region_log_volumes, save_model, write_csv, zoo,
+    CpaNetwork, ExperimentConfig, LatentDomain, Layer, SamplePool, compose, cpa,
+    draw_latents, fingerprint, region_log_volumes, save_model, write_csv, zoo,
 )
-from polarity_sampling.cli import _write_points, main
+from polarity_sampling.cli import main
 from polarity_sampling.errors import ValidationError
 from polarity_sampling.synth import SyntheticDataset
 
@@ -291,6 +291,25 @@ def test_shift_and_ppl_subcommands(tmp_path):
     ppl_out = tmp_path / "ppl.csv"
     assert main(["ppl", "--config", str(cfg), "--out", str(ppl_out)]) == 0
     assert ppl_out.read_text().startswith("rho,mean_ppl,q10,q50,q90,seed")
+
+
+def test_ppl_feature_model_scales_path_lengths(tmp_path):
+    # x -> 2x doubles every difference of features, so each path length,
+    # a squared difference over epsilon**2, is 4 times that of the outputs
+    model, feature, cfg = tmp_path / "m.json", tmp_path / "f.json", tmp_path / "c.json"
+    save_model(zoo.ramp_2d_net(), model)
+    save_model(CpaNetwork("double", (Layer(2.0 * np.eye(2), np.zeros(2)),)), feature)
+    ExperimentConfig(model_path=str(model), domain=zoo.ramp_2d_domain().to_dict(), seed=3,
+                     rho_grid=[-1.0, 0.0, 1.0], n=500, k=2, n_pairs=200).to_json(cfg)
+    tables = []
+    for extra in ([], ["--feature-model", str(feature)]):
+        out = tmp_path / f"ppl{len(extra)}.csv"
+        assert main(["ppl", "--config", str(cfg), "--out", str(out), *extra]) == 0
+        tables.append(np.loadtxt(out, delimiter=",", skiprows=1))
+    plain, featured = tables
+    assert plain[:, 1:5].min() > 0
+    assert np.array_equal(featured[:, [0, 5]], plain[:, [0, 5]])
+    assert np.array_equal(featured[:, 1:5], 4.0 * plain[:, 1:5])
 
 
 # 1e200 squares past the float range, 1e-200 squares to zero
@@ -635,28 +654,32 @@ def test_damaged_pool_file_exits_0_or_2(small_pool, data):
 
 def _assert_written_like_write_csv(pts, d):
     header = [f"x{i}" for i in range(pts.shape[1])]
-    _write_points(d / "points.csv", pts)
+    write_csv(d / "points.csv", header, pts)
     write_csv(d / "reference.csv", header, pts.tolist())
     assert (d / "points.csv").read_bytes() == (d / "reference.csv").read_bytes()
 
 
-def test_write_points_keeps_signed_zeros_apart(tmp_path):
+def test_write_csv_array_keeps_signed_zeros_apart(tmp_path):
     pts = np.array([[0.0, 1.0], [-0.0, 1.0], [5e-324, -1e300], [0.0, 1.0], [-0.0, 1.0]])
     _assert_written_like_write_csv(pts, tmp_path)
     lines = (tmp_path / "points.csv").read_bytes().split(b"\r\n")
     assert lines[1:3] == [b"0.0,1.0", b"-0.0,1.0"]
 
 
-EXTREME = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
-                           1e300, -1e300, 1.0]) | st.floats(allow_nan=False,
-                                                            allow_infinity=False)
+# the ends of the range where orjson's text is repr's (0 and 1e-4 <= |x| < 1e16)
+# and halfway ties that round to even, each with the floats beside it
+_EDGES = [f for x in (1e-4, 1e16, 9.999999999999999e-05, 2.0**50 + 0.25, 2.0**50 + 0.75)
+          for f in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+# and subnormals and +-1e300
+EXTREME = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.0]
+    + _EDGES) | st.floats(allow_nan=False, allow_infinity=False)
 
 
-# repeated rows, both zeros in one column, subnormals and +-1e300, one row,
-# dims 1-8
+# repeated rows, both zeros in one column, one row, dims 1-8
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 8), st.data())
-def test_write_points_equals_write_csv(tmp_path_factory, dim, data):
+def test_write_csv_array_equals_rows(tmp_path_factory, dim, data):
     distinct = data.draw(st.lists(st.lists(EXTREME, min_size=dim, max_size=dim),
                                   min_size=1, max_size=6), label="distinct")
     # each row's twin with its zeros' signs flipped: a distinct row wherever it holds a zero
@@ -665,6 +688,19 @@ def test_write_points_equals_write_csv(tmp_path_factory, dim, data):
                                max_size=40), label="order")
     _assert_written_like_write_csv(np.array(distinct, dtype=np.float64)[order],
                                    tmp_path_factory.getbasetemp())
+
+
+def test_write_csv_array_longer_than_a_row_block(tmp_path):
+    # more rows than any row block of at least 8 bytes a float holds; most in
+    # the plain range, some holding a value beside or past its ends, NaN or inf
+    rng = np.random.default_rng(5)
+    dim = 3
+    shape = (cpa.BLOCK_BYTES // (8 * dim) + 7, dim)
+    pts = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 15, shape)
+    edges = _EDGES + [np.nan, np.inf, -np.inf, 5e-324, 0.0, -0.0]
+    at = rng.integers(len(pts), size=20 * len(edges))
+    pts[at, rng.integers(dim, size=len(at))] = np.resize(edges, len(at))
+    _assert_written_like_write_csv(pts, tmp_path)
 
 
 def test_box_whose_volume_overflows(tmp_path):
@@ -779,6 +815,10 @@ MALFORMED_INPUTS = {
     "domain_draw_plus_mean_overflows": (*_pool_config_edit(
         domain={"kind": "gaussian", "mean": [1.7e308], "std": [1e307]}),
         "gaussian domain mean=[1.7e+308], std=[1e+307] leaves the float range"),
+    # the network's input dimension is checked by build_pool itself
+    "domain_dim_disagrees_with_net": (*_pool_config_edit(
+        domain={"kind": "uniform_box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}),
+        "domain dim 2 does not match network input 1"),
     "domain_bool_among_numbers": (*_config_edit(
         domain={"kind": "gaussian", "mean": [0.0, True], "std": [1.0, 1.0]}), "'mean'"),
     "domain_std_zero": (*_config_edit(
@@ -1104,11 +1144,12 @@ def test_sample_refuses_pool_of_another_latent_dim(workdir, capsys):
     assert not (workdir / "x.csv").exists()
 
 
-def _scipy_modules_after(code):
-    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+def _loaded_modules_after(code, top="scipy"):
+    """The modules of package ``top`` loaded once ``code`` has run in a fresh
+    interpreter."""
     src = os.path.dirname(os.path.dirname(polarity_sampling.__file__))
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+             f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {top!r})))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     return json.loads(out.stdout.splitlines()[-1])
@@ -1118,7 +1159,12 @@ def _scipy_modules_after(code):
 # it: the psi < 1 prior draws by the package's ports of ndtr and ndtri
 @pytest.mark.parametrize("module", ["polarity_sampling", "polarity_sampling.cli"])
 def test_importing_loads_no_scipy(module):
-    assert _scipy_modules_after(f"import {module}") == []
+    assert _loaded_modules_after(f"import {module}") == []
+
+
+# nor orjson, which only writing a CSV of an array needs
+def test_importing_the_cli_loads_no_orjson():
+    assert _loaded_modules_after("import polarity_sampling.cli", "orjson") == []
 
 
 def test_untruncated_pool_build_and_sample_load_no_scipy(workdir):
@@ -1130,7 +1176,7 @@ def test_untruncated_pool_build_and_sample_load_no_scipy(workdir):
         f"assert cli.main(['sample', '--pool', {pool!r}, '--model', {model!r}, "
         f"'--rho', '-1.0', '--s', '50', '--out', {draws!r}]) == 0"
     )
-    assert _scipy_modules_after(code) == []
+    assert _loaded_modules_after(code) == []
 
 
 def test_first_truncated_draw_loads_no_scipy(workdir):
@@ -1149,7 +1195,7 @@ def test_first_truncated_draw_loads_no_scipy(workdir):
         f"'--rho', '-1.0', '--s', '50', '--out', {draws!r}]) == 0\n"
         f"assert cli.main(['pareto', '--config', {str(pareto)!r}, '--out', {out!r}]) == 0"
     )
-    assert _scipy_modules_after(code) == []
+    assert _loaded_modules_after(code) == []
 
 
 # map_blocks starts its helper threads inside each call with blocks to share

@@ -12,7 +12,7 @@ from polarity_sampling import (
     run_ablation, run_modes, run_pareto, run_ppl, run_shift, sample_batch,
     save_model, write_csv,
 )
-from polarity_sampling import cpa, harness, zoo
+from polarity_sampling import harness, zoo
 from polarity_sampling.synth import SyntheticDataset
 
 
@@ -307,12 +307,3 @@ def test_write_csv_matches_csv_writer_bytes(tmp_path):
     write_csv(out, header, rows)
     digest = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, reference)]
     assert digest[0] == digest[1]
-    # rows by an index array over more than one row block of it
-    order = rng.integers(len(rows), size=2 * (cpa.BLOCK_BYTES // 8) + 3)
-    with open(reference, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in order.tolist():
-            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in rows[i]])
-    write_csv(out, header, rows, order)
-    assert out.read_bytes() == reference.read_bytes()
